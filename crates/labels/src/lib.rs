@@ -47,6 +47,31 @@ pub use token::{token_jaccard, TokenJaccard};
 pub trait LabelSimilarity {
     /// Computes the similarity of `a` and `b` in `[0, 1]`.
     fn similarity(&self, a: &str, b: &str) -> f64;
+
+    /// The row-major `|A| × |B|` matrix of similarities, as
+    /// [`LabelMatrix::compute`] stores it. The default calls
+    /// [`similarity`](Self::similarity) cell by cell; a measure overrides
+    /// it to share per-label work across cells, and must then return the
+    /// same bits.
+    fn similarity_matrix(&self, names_a: &[&str], names_b: &[&str]) -> Vec<f64> {
+        cell_by_cell(self, names_a, names_b)
+    }
+}
+
+/// The default [`LabelSimilarity::similarity_matrix`]: one
+/// [`similarity`](LabelSimilarity::similarity) call per cell.
+fn cell_by_cell<M: LabelSimilarity + ?Sized>(
+    measure: &M,
+    names_a: &[&str],
+    names_b: &[&str],
+) -> Vec<f64> {
+    let mut data = Vec::with_capacity(names_a.len() * names_b.len());
+    for a in names_a {
+        for b in names_b {
+            data.push(measure.similarity(a, b));
+        }
+    }
+    data
 }
 
 /// The constant-zero similarity: used when matching must rely on structure

@@ -13,22 +13,20 @@ pub struct LabelMatrix {
 }
 
 impl LabelMatrix {
-    /// Computes the matrix for `names_a` × `names_b` under `measure`.
+    /// Computes the matrix for `names_a` × `names_b` under `measure`,
+    /// through [`LabelSimilarity::similarity_matrix`].
+    ///
+    /// # Panics
+    /// If the measure returns other than `|A| · |B|` values.
     pub fn compute<M, SA, SB>(names_a: &[SA], names_b: &[SB], measure: &M) -> Self
     where
         M: LabelSimilarity,
         SA: AsRef<str>,
         SB: AsRef<str>,
     {
-        let rows = names_a.len();
-        let cols = names_b.len();
-        let mut data = Vec::with_capacity(rows * cols);
-        for a in names_a {
-            for b in names_b {
-                data.push(measure.similarity(a.as_ref(), b.as_ref()));
-            }
-        }
-        LabelMatrix { rows, cols, data }
+        let a: Vec<&str> = names_a.iter().map(AsRef::as_ref).collect();
+        let b: Vec<&str> = names_b.iter().map(AsRef::as_ref).collect();
+        Self::from_raw(a.len(), b.len(), measure.similarity_matrix(&a, &b))
     }
 
     /// An all-zero matrix (structure-only matching).

@@ -1,9 +1,11 @@
 //! Randomized property tests: every label similarity is symmetric, bounded
-//! in [0, 1], and maximal on identical inputs. Driven by the deterministic
+//! in [0, 1], and maximal on identical inputs, and the q-gram matrix kernel
+//! returns the bits of the pairwise measure. Driven by the deterministic
 //! `ems-rng` generator.
 
 use ems_labels::{
     jaro, jaro_winkler, levenshtein, levenshtein_similarity, qgram_cosine, token_jaccard,
+    LabelMatrix, QgramCosine,
 };
 use ems_rng::StdRng;
 
@@ -92,4 +94,69 @@ fn levenshtein_bounded_by_longer_length() {
         let bound = a.chars().count().max(b.chars().count());
         assert!(levenshtein(&a, &b) <= bound);
     }
+}
+
+/// An alphabet for the matrix test: random labels, labels shorter than
+/// `q`, and partial renames (one character replaced) of earlier labels.
+fn matrix_alphabet(rng: &mut StdRng, q: usize, n: usize) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for _ in 0..n {
+        let name = match rng.gen_range(0..3u32) {
+            0 => random_label(rng),
+            1 => random_label(rng)
+                .chars()
+                .take(rng.gen_range(0..q))
+                .collect(),
+            _ => match names.last() {
+                Some(prev) if !prev.is_empty() => {
+                    let mut chars: Vec<char> = prev.chars().collect();
+                    let at = rng.gen_range(0..chars.len());
+                    chars[at] = 'Z';
+                    chars.into_iter().collect()
+                }
+                _ => random_label(rng),
+            },
+        };
+        names.push(name);
+    }
+    names
+}
+
+#[test]
+fn qgram_matrix_is_bit_identical_to_pairwise_cosine() {
+    let mut rng = StdRng::seed_from_u64(0x1AB6);
+    let (mut disjoint, mut partial) = (0usize, 0usize);
+    for q in 1..=4usize {
+        for _ in 0..24 {
+            let a = matrix_alphabet(&mut rng, q, 14);
+            let mut b = matrix_alphabet(&mut rng, q, 10);
+            // Equal pairs: copy some of A's labels into B.
+            for name in a.iter().step_by(3) {
+                b.push(name.clone());
+            }
+            let m = LabelMatrix::compute(&a, &b, &QgramCosine { q });
+            for (i, x) in a.iter().enumerate() {
+                for (j, y) in b.iter().enumerate() {
+                    let want = qgram_cosine(x, y, q);
+                    assert_eq!(
+                        m.get(i, j).to_bits(),
+                        want.to_bits(),
+                        "q={q} {x:?} vs {y:?}: matrix {} pairwise {want}",
+                        m.get(i, j)
+                    );
+                    if want.to_bits() == (-0.0f64).to_bits() {
+                        disjoint += 1;
+                    } else if want > 0.0 && want < 1.0 {
+                        partial += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(disjoint > 0 && partial > 0, "{disjoint} / {partial}");
+
+    // No shared gram: the empty dot product is -0.0 on both paths.
+    let m = LabelMatrix::compute(&["abc"], &["xyz"], &QgramCosine { q: 3 });
+    assert_eq!(m.get(0, 0).to_bits(), (-0.0f64).to_bits());
+    assert_eq!(qgram_cosine("abc", "xyz", 3).to_bits(), (-0.0f64).to_bits());
 }

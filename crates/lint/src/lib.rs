@@ -113,7 +113,23 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
 /// Directories never descended into during the workspace walk.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "results", "node_modules"];
 
-/// Collects every `.rs` file under `root` (sorted, workspace-relative).
+/// Whether `dir` holds a `Cargo.toml` that declares a `[workspace]` of its
+/// own. Cargo never makes such a directory part of an enclosing
+/// workspace, and neither does the lint.
+fn is_nested_workspace(dir: &Path) -> std::io::Result<bool> {
+    let manifest = dir.join("Cargo.toml");
+    if !manifest.is_file() {
+        return Ok(false);
+    }
+    let text = std::fs::read_to_string(manifest)?;
+    Ok(text
+        .lines()
+        .map(str::trim_start)
+        .any(|line| line.starts_with("[workspace]") || line.starts_with("[workspace.")))
+}
+
+/// Collects every `.rs` file under `root` (sorted, workspace-relative),
+/// skipping any subdirectory that is a cargo workspace of its own.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -124,7 +140,10 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+                if !SKIP_DIRS.contains(&name.as_ref())
+                    && !name.starts_with('.')
+                    && !is_nested_workspace(&path)?
+                {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {

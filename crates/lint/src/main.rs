@@ -11,7 +11,9 @@ fn usage() -> ExitCode {
          \n\
          commands:\n\
          \x20 check [--root <dir>] [--format text|json|sarif]\n\
-         \x20                        lint every .rs file under <dir> (default: workspace root);\n\
+         \x20                        lint every .rs file under <dir> (default: workspace root),\n\
+         \x20                        skipping subdirectories whose Cargo.toml declares a\n\
+         \x20                        [workspace] of their own (cargo's own membership rule);\n\
          \x20                        json/sarif always exit with the finding-derived code and\n\
          \x20                        print the report to stdout (schema: src/emit.rs)\n\
          \x20 rules                  list rule ids and what they enforce\n\

@@ -159,3 +159,39 @@ fn workspace_lints_clean() {
             .join("\n")
     );
 }
+
+/// The walk covers what cargo treats as the workspace: a member crate is
+/// scanned, a subdirectory whose `Cargo.toml` declares a `[workspace]` of
+/// its own is not.
+#[test]
+fn workspace_walk_skips_nested_workspaces() {
+    let root = std::env::temp_dir().join(format!("ems-lint-walk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    };
+    write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+    write("crates/member/Cargo.toml", "[package]\nname = \"member\"\n");
+    write("crates/member/src/lib.rs", "pub fn f() {}\n");
+    write(
+        "tool/Cargo.toml",
+        "[package]\nname = \"tool\"\n\n[workspace]\n",
+    );
+    write("tool/src/main.rs", "fn main() {}\n");
+    write("tests/walk.rs", "#[test]\nfn t() {}\n");
+
+    let files: Vec<String> = ems_lint::workspace_files(&root)
+        .unwrap()
+        .iter()
+        .map(|p| {
+            p.strip_prefix(&root)
+                .unwrap()
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(files, ["crates/member/src/lib.rs", "tests/walk.rs"]);
+}

@@ -7,6 +7,7 @@ use event_matching::core::{Ems, EmsParams};
 use event_matching::depgraph::DependencyGraph;
 use event_matching::eval::score;
 use event_matching::events::{EventId, EventLog};
+use event_matching::labels::qgram_cosine;
 use event_matching::synth::{Dislocation, LogPair, PairConfig, PairGenerator, TreeConfig};
 use event_matching::xes::{from_event_log, parse_str, to_event_log, write_string};
 
@@ -71,6 +72,34 @@ fn labels_help_when_names_are_readable() {
         "labels hurt: {labeled} < {structural}"
     );
     assert!(labeled > 0.9, "readable names should ~solve it: {labeled}");
+}
+
+#[test]
+fn qgram_label_matrix_is_bit_identical_to_pairwise_cosine() {
+    // Half of log 2's names are renamed to opaque tokens.
+    let pair = generate(8, Dislocation::None, 0.5);
+    let (l1, l2) = (&pair.log1, &pair.log2);
+    let labels = Ems::new(EmsParams::with_labels(0.5)).label_matrix(l1, l2);
+    assert_eq!(labels.rows(), l1.alphabet_size());
+    assert_eq!(labels.cols(), l2.alphabet_size());
+    let mut partial = 0;
+    for i in 0..labels.rows() {
+        for j in 0..labels.cols() {
+            let a = l1.name_of(EventId::from_index(i));
+            let b = l2.name_of(EventId::from_index(j));
+            let want = qgram_cosine(a, b, 3);
+            assert_eq!(
+                labels.get(i, j).to_bits(),
+                want.to_bits(),
+                "{a:?} vs {b:?}: matrix {} pairwise {want}",
+                labels.get(i, j)
+            );
+            if want > 0.0 && want < 1.0 {
+                partial += 1;
+            }
+        }
+    }
+    assert!(partial > 0, "no partly matching labels");
 }
 
 #[test]
