@@ -40,8 +40,14 @@ pub fn serve_io(
     input: impl BufRead,
     mut output: impl Write,
 ) -> Result<(), EmsError> {
-    let recorder = Arc::new(Recorder::new());
-    let store = Arc::new(CatalogStore::open(&args.store)?.with_recorder(Arc::clone(&recorder)));
+    // Telemetry is recorded only for `--metrics`: every record is kept in
+    // memory for the life of the process.
+    let recorder = args.metrics.as_ref().map(|_| Arc::new(Recorder::new()));
+    let mut store = CatalogStore::open(&args.store)?;
+    if let Some(r) = &recorder {
+        store = store.with_recorder(Arc::clone(r));
+    }
+    let store = Arc::new(store);
     let params = EmsParams {
         alpha: args.alpha,
         label_measure: if args.exact_labels {
@@ -52,15 +58,16 @@ pub fn serve_io(
         c: args.c,
         ..EmsParams::default()
     };
-    let shared = Arc::new(
-        SharedSession::try_new(params)?
-            .with_min_frequency(args.min_freq)
-            .with_store(Arc::clone(&store))
-            .with_recorder(Arc::clone(&recorder)),
-    );
-    let mut catalog = Catalog::new(shared)
-        .with_store(Arc::clone(&store))
-        .with_recorder(Arc::clone(&recorder));
+    let mut shared = SharedSession::try_new(params)?
+        .with_min_frequency(args.min_freq)
+        .with_store(Arc::clone(&store));
+    if let Some(r) = &recorder {
+        shared = shared.with_recorder(Arc::clone(r));
+    }
+    let mut catalog = Catalog::new(Arc::new(shared)).with_store(Arc::clone(&store));
+    if let Some(r) = &recorder {
+        catalog = catalog.with_recorder(Arc::clone(r));
+    }
     if let Some(budget) = args.byte_budget {
         catalog = catalog.with_byte_budget(budget);
     }
@@ -124,8 +131,8 @@ pub fn serve_io(
         "ems serve: {queries} query(ies) answered; catalog hits {}, misses {}, evictions {}",
         stats.hits, stats.misses, stats.evictions
     );
-    if let Some(path) = &args.metrics {
-        std::fs::write(path, ems_obs::prom::write(&recorder.records()))
+    if let (Some(path), Some(r)) = (&args.metrics, &recorder) {
+        std::fs::write(path, ems_obs::prom::write(&r.records()))
             .map_err(|e| EmsError::io(path, e.to_string()))?;
     }
     Ok(())
@@ -393,6 +400,34 @@ mod tests {
             assert_eq!(f.get("pruned").and_then(Value::as_u64), Some(0));
             assert_eq!(f.get("evaluated").and_then(Value::as_u64), Some(3));
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn metrics_file_carries_catalog_and_session_counters() {
+        let dir = tmpdir("metrics");
+        let store = populate_store(&dir);
+        let qpath = dir.join("query.xes");
+        write_file(&from_event_log(&query_like_orders()), &qpath).unwrap();
+        let q = qpath.to_string_lossy().into_owned();
+        let metrics = dir.join("serve.prom");
+        let mut args = serve_args(store);
+        args.metrics = Some(metrics.to_string_lossy().into_owned());
+        // The repeat is answered from the outcome cache.
+        let lines = run_serve(&args, &format!("{{\"log\": \"{q}\"}}\n").repeat(2));
+        assert_eq!(lines.len(), 2);
+        let prom = std::fs::read_to_string(&metrics).unwrap();
+        for name in [
+            "ems_catalog_hit",
+            "ems_session_graph_cache",
+            "ems_session_substrate_cache",
+            "ems_session_label_cache",
+            "ems_session_outcome_cache",
+            "ems_store_write",
+        ] {
+            assert!(prom.contains(name), "{name} missing from:\n{prom}");
+        }
+        assert!(!prom.contains("ems_shared_"), "{prom}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -24,7 +24,8 @@ pub enum CoreError {
         /// What disagreed (shape, direction or damping constant).
         message: String,
     },
-    /// A [`crate::session::LogHandle`] does not belong to the session.
+    /// A [`crate::session::LogHandle`] does not belong to the
+    /// [`crate::session::MatchSession`].
     UnknownLog {
         /// The offending handle's index.
         handle: u32,

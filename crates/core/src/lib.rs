@@ -18,10 +18,12 @@
 //!   Corollary 7) that let the composite matcher abort hopeless candidates;
 //! * `matcher` — the user-facing [`Ems`] API aggregating forward and
 //!   backward similarities (Section 3.6);
-//! * [`session`] — the staged, reusable pipeline: a [`MatchSession`] interns
-//!   labels once, caches dependency graphs and [`substrate`] products by
-//!   content fingerprint, and warm-starts re-matches from prior fixpoints
-//!   (Theorem 1);
+//! * [`session`] — the staged, reusable pipeline: a [`SharedSession`]
+//!   interns labels once and caches dependency graphs, [`substrate`]
+//!   products, label matrices and outcomes by content fingerprint for the
+//!   catalog and `ems serve`; a [`MatchSession`] is the handle layer over
+//!   it that `ems match` uses, and warm-starts re-matches from prior
+//!   fixpoints (Theorem 1);
 //! * [`composite`] — SEQ-pattern candidate discovery and the greedy composite
 //!   matcher of Algorithm 2 with both pruning techniques (Section 4);
 //! * [`diagnostics`] — empirical estimation-error bounds, the investigation
@@ -65,7 +67,6 @@ pub mod numeric;
 mod params;
 pub mod persist;
 pub mod session;
-pub mod shared;
 mod sim;
 mod sim_sparse;
 mod stats;
@@ -75,8 +76,7 @@ pub use engine::{Budget, PhaseTimes, RunOptions, RunStats, ThreadClamp};
 pub use error::CoreError;
 pub use matcher::{Ems, MatchOutcome};
 pub use params::{Aggregation, Direction, EmsParams, LabelMeasure, LabelSpace};
-pub use session::{LogHandle, MatchSession, SessionOptions, SessionStats};
-pub use shared::{SharedSession, SharedStats};
+pub use session::{LogHandle, MatchSession, SessionOptions, SessionStats, SharedSession};
 pub use sim::SimMatrix;
 pub use sim_sparse::{CsrError, SparseSim};
 pub use substrate::EngineSubstrate;

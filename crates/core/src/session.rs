@@ -1,18 +1,54 @@
-//! The staged, reusable matching pipeline: **ingest → model → substrate →
-//! solve → aggregate**.
+//! The staged matching pipeline: **ingest → model → substrate → labels →
+//! solve → aggregate**, implemented once and reached through two front
+//! doors.
 //!
 //! [`crate::Ems`] is one-shot: every call re-derives the dependency graphs,
 //! the label matrix and the kernel substrate even when the inputs did not
-//! change. A [`MatchSession`] makes each stage's product explicit and caches
-//! it by *content fingerprint* (FNV-1a over names, frequencies and
+//! change. A [`SharedSession`] makes each stage's product explicit and
+//! caches it by *content fingerprint* (FNV-1a over names, frequencies and
 //! adjacency — see [`ems_events::fingerprint_log`] and
 //! [`ems_depgraph::DependencyGraph::fingerprint`]), so matching N logs
 //! against one reference builds the reference-side model once, and
-//! re-matching an unchanged pair is pure solve work.
+//! re-matching an unchanged pair is served from the outcome cache.
+//!
+//! The two front doors run the same stage code:
+//!
+//! * [`MatchSession`] is the handle layer behind `ems match`. It keeps only
+//!   per-handle state — the ingested logs ([`LogHandle`],
+//!   [`MatchSession::append_traces`]), the warm-start priors and the
+//!   ingest-boundary fault point — and calls the stages with per-call
+//!   [`SessionOptions`];
+//! * [`SharedSession`] is addressed by log content and is `&self` end to
+//!   end, so one session serves the catalog and every `ems serve` worker.
 //!
 //! Symbols are interned once per session ([`SymbolTable`]): every graph the
 //! session builds shares one table, so label identity across logs is a `u32`
 //! comparison, never a string comparison.
+//!
+//! # Concurrency
+//!
+//! Each cache (graphs, substrates, labels, outcomes) sits behind its own
+//! `RwLock` of `Arc`ed products:
+//!
+//! * lookups take a read lock only;
+//! * a miss builds **outside** any cache lock, then inserts under a write
+//!   lock with a re-check — two workers racing on the same product build
+//!   it twice and keep the first insert, never block each other for the
+//!   duration of a build, and always observe identical bytes because
+//!   every product is a deterministic function of the inputs;
+//! * the solve stage runs entirely on `Arc` snapshots, lock-free.
+//!
+//! Locks are never nested (the symbol table mutex is held only while a
+//! graph is built or decoded, with no cache lock held), so no lock-order
+//! cycle exists by construction.
+//!
+//! # Outcome cache
+//!
+//! The two fixpoint solves dominate a repeat match, so the outcome cache is
+//! checked before any stage: a plain call on content already matched is
+//! served the memoized outcome. An engine recorder, fault injector, budget
+//! or warm-start request makes a call observably different from a replay,
+//! and such calls bypass the outcome cache entirely (both read and write).
 //!
 //! # Warm starts
 //!
@@ -30,24 +66,27 @@
 //!
 //! # Durable tier
 //!
-//! With a catalog store attached ([`MatchSession::with_store`]) every build
-//! stage gains a disk tier between the in-memory cache and a rebuild:
-//! memory hit → store hit (decode a checksummed snapshot) → rebuild (and
-//! best-effort re-persist). Store failures never fail a match — a corrupt
-//! snapshot is quarantined and the product rebuilt from source, an I/O
-//! failure simply degrades to a rebuild — so the durable tier is purely an
-//! availability optimization with no effect on results (pinned by the
-//! disk-warm bit-identity tests and the `chaos_store` sweep).
+//! With a catalog store attached ([`SharedSession::with_store`],
+//! [`MatchSession::with_store`]) every build stage gains a disk tier
+//! between the in-memory cache and a rebuild: memory hit → store hit
+//! (decode a checksummed snapshot) → rebuild (and best-effort re-persist).
+//! Store failures never fail a match — a corrupt snapshot is quarantined
+//! and the product rebuilt from source, an I/O failure simply degrades to a
+//! rebuild — so the durable tier is purely an availability optimization
+//! with no effect on results (pinned by the disk-warm bit-identity tests
+//! and the `chaos_store` sweep).
 //!
 //! # Telemetry
 //!
 //! Two recorders with distinct roles:
 //!
-//! * the **session recorder** ([`MatchSession::with_recorder`]) receives the
-//!   stage spans (`session.model`, `session.substrate`) and the cache
-//!   counters (`session.graph_cache`, `session.substrate_cache`,
-//!   `session.label_cache`, `session.warm_start`) that prove which stages
-//!   were skipped;
+//! * the **session recorder** ([`SharedSession::with_recorder`],
+//!   [`MatchSession::with_recorder`]) receives the stage spans
+//!   (`session.model`, `session.substrate`) and the cache counters
+//!   (`session.graph_cache`, `session.substrate_cache`,
+//!   `session.label_cache`, `session.outcome_cache`,
+//!   `session.warm_start`) that prove which stages were skipped;
+//!   [`MatchSession`] also opens the `session.match` profiler scopes;
 //! * the **engine recorder** ([`SessionOptions::recorder`]) is handed to the
 //!   solve stage only, so a cached re-match emits an engine trace
 //!   byte-identical to the cold run's.
@@ -65,7 +104,7 @@
 //! let r = session.ingest(reference);
 //! let o = session.ingest(observed);
 //! let cold = session.match_pair(r, o).unwrap();
-//! let cached = session.match_pair(r, o).unwrap(); // no graph/substrate rebuild
+//! let cached = session.match_pair(r, o).unwrap(); // served from the outcome cache
 //! assert!(cold.similarity.max_abs_diff(&cached.similarity) == 0.0);
 //! assert_eq!(session.stats().graph_builds, 2);
 //! assert_eq!(session.stats().substrate_builds, 2); // one per direction — built once
@@ -83,11 +122,11 @@ use ems_error::EmsError;
 use ems_events::{fingerprint_log, EventLog, SymbolTable};
 use ems_faults::{FaultInjector, FaultKind, FaultSite};
 use ems_labels::LabelMatrix;
-use ems_obs::{Histogram, Recorder};
+use ems_obs::{Histogram, Labels, Recorder};
 use ems_prof::Profiler;
 use ems_store::{CatalogStore, SnapshotKind};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Identifies a log ingested into a [`MatchSession`]. Handles are stable for
@@ -135,7 +174,7 @@ pub struct SessionOptions {
 /// performed, attributed once at session level (runs executed against cached
 /// substrates report zero setup in their own [`crate::PhaseTimes`] — see
 /// `session_attributes_setup_once` in the tests).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Dependency graphs built (model-stage cache misses).
     pub graph_builds: u64,
@@ -151,7 +190,7 @@ pub struct SessionStats {
     pub label_cache_hits: u64,
     /// Solve-stage runs seeded from a prior fixpoint.
     pub warm_starts: u64,
-    /// Full matches served from the outcome cache (both solves skipped).
+    /// Full matches served from the outcome cache (every stage skipped).
     pub outcome_cache_hits: u64,
     /// Build products served from the durable store (snapshot decoded).
     pub store_hits: u64,
@@ -171,10 +210,73 @@ pub struct SessionStats {
     pub setup: Duration,
 }
 
-#[derive(Debug)]
-struct SessionLog {
-    log: EventLog,
-    fingerprint: u64,
+impl SessionStats {
+    fn builds(&self) -> u64 {
+        self.graph_builds + self.substrate_builds + self.label_builds
+    }
+
+    fn cache_hits(&self) -> u64 {
+        self.graph_cache_hits + self.substrate_cache_hits + self.label_cache_hits
+    }
+}
+
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    match lock.read() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    }
+}
+
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    match lock.write() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    }
+}
+
+fn mutex_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    match lock.lock() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    }
+}
+
+/// Where a stage's product came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Memory,
+    Disk,
+    Built,
+}
+
+impl Tier {
+    /// The `result` label of the stage's cache counter.
+    fn result(self) -> &'static str {
+        match self {
+            Tier::Memory => "hit",
+            Tier::Disk => "disk",
+            Tier::Built => "miss",
+        }
+    }
+
+    /// The counter the stage's profiler scope records.
+    fn scope_count(self) -> &'static str {
+        match self {
+            Tier::Memory => "cache_hits",
+            Tier::Disk => "store_hits",
+            Tier::Built => "builds",
+        }
+    }
+}
+
+/// Stage record labels: `pairs`, then the `side` of a handle-addressed log
+/// (content-addressed calls have no side).
+fn side_labels(pairs: &[(&str, &str)], side: Option<&str>) -> Labels {
+    let mut labels = ems_obs::labels(pairs);
+    if let Some(side) = side {
+        labels.push(("side".to_string(), side.to_string()));
+    }
+    labels
 }
 
 /// The previous fixpoint of one handle pair — the warm-start source.
@@ -187,45 +289,614 @@ struct Prior {
     backward: SparseSim,
 }
 
-/// A reusable, staged matching pipeline over a set of ingested logs. See
-/// the module docs for the stage/caching model.
+impl Prior {
+    fn of(outcome: &MatchOutcome) -> Self {
+        Prior {
+            forward: SparseSim::from_dense(&outcome.forward, 0.0),
+            backward: SparseSim::from_dense(&outcome.backward, 0.0),
+        }
+    }
+
+    /// The warm seeds for a pair, if this prior still fits the current
+    /// pair space (an append can change the alphabet and with it the
+    /// matrix shape — a stale-shaped prior is skipped, not an error).
+    fn seeds(&self, g1: &DependencyGraph, g2: &DependencyGraph) -> Option<(Seed, Seed)> {
+        let (n1, n2) = (g1.num_real(), g2.num_real());
+        if self.forward.rows() != n1 || self.forward.cols() != n2 {
+            return None;
+        }
+        let unfrozen = vec![false; n1 * n2];
+        Some((
+            Seed {
+                values: self.forward.to_dense(),
+                frozen: unfrozen.clone(),
+            },
+            Seed {
+                values: self.backward.to_dense(),
+                frozen: unfrozen,
+            },
+        ))
+    }
+}
+
+/// The staged matching pipeline behind shared caches; see the module docs
+/// for the stage, caching and locking model. All methods take `&self`, so
+/// one session can be hit from any number of worker threads.
 #[derive(Debug)]
-pub struct MatchSession {
+pub struct SharedSession {
     params: EmsParams,
     min_frequency: f64,
-    table: SymbolTable,
-    logs: Vec<SessionLog>,
+    table: Mutex<SymbolTable>,
     /// Model cache: log content fingerprint → dependency graph (with the
     /// session's min-frequency filter applied). `min_frequency` and the
     /// parameters are session constants, so they are not part of the key.
-    graphs: BTreeMap<u64, Arc<DependencyGraph>>,
+    graphs: RwLock<BTreeMap<u64, Arc<DependencyGraph>>>,
     /// Substrate cache: (graph fp 1, graph fp 2, direction) → substrate.
-    substrates: BTreeMap<(u64, u64, u8), Arc<EngineSubstrate>>,
+    substrates: RwLock<BTreeMap<(u64, u64, u8), Arc<EngineSubstrate>>>,
     /// Label cache: (log fp 1, log fp 2) → label matrix.
-    labels: BTreeMap<(u64, u64), Arc<LabelMatrix>>,
+    labels: RwLock<BTreeMap<(u64, u64), Arc<LabelMatrix>>>,
+    /// Outcome cache: (log fp 1, log fp 2) → full match result.
+    outcomes: RwLock<BTreeMap<(u64, u64), MatchOutcome>>,
+    /// Optional durable tier behind the in-memory caches: every build stage
+    /// consults it on a memory miss and re-persists what it rebuilds.
+    store: Option<Arc<CatalogStore>>,
+    recorder: Option<Arc<Recorder>>,
+    stats: Mutex<SessionStats>,
+    /// Store-fetch latency accumulated across stage lookups, flushed to the
+    /// session recorder after each solve as a single
+    /// `session.store_fetch_us` histogram (exec class: latency is
+    /// non-deterministic, so redacted exports zero its contents).
+    fetch_hist: Mutex<Option<Histogram>>,
+}
+
+impl SharedSession {
+    /// Creates a shared session, validating the parameters.
+    pub fn try_new(params: EmsParams) -> Result<Self, CoreError> {
+        params.validate().map_err(CoreError::InvalidParams)?;
+        Ok(SharedSession {
+            params,
+            min_frequency: 0.0,
+            table: Mutex::new(SymbolTable::new()),
+            graphs: RwLock::new(BTreeMap::new()),
+            substrates: RwLock::new(BTreeMap::new()),
+            labels: RwLock::new(BTreeMap::new()),
+            outcomes: RwLock::new(BTreeMap::new()),
+            store: None,
+            recorder: None,
+            stats: Mutex::new(SessionStats::default()),
+            fetch_hist: Mutex::new(None),
+        })
+    }
+
+    /// Attaches a durable catalog store as the tier between the in-memory
+    /// caches and a rebuild (see the module docs). Store failures never
+    /// fail a match: corruption quarantines the snapshot and rebuilds, I/O
+    /// errors degrade to a rebuild.
+    pub fn with_store(mut self, store: Arc<CatalogStore>) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// Attaches the session telemetry sink (stage spans, cache counters).
+    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
+        self.recorder = Some(recorder);
+        self
+    }
+
+    /// Sets the minimum edge frequency applied when building graphs
+    /// (Section 2 filtering). A session constant: it participates in every
+    /// model-stage build, so it is deliberately not part of the cache keys.
+    pub fn with_min_frequency(mut self, threshold: f64) -> Self {
+        self.min_frequency = threshold;
+        self
+    }
+
+    /// The session's parameters.
+    pub fn params(&self) -> &EmsParams {
+        &self.params
+    }
+
+    /// Snapshot of the cache and setup counters.
+    pub fn stats(&self) -> SessionStats {
+        *mutex_lock(&self.stats)
+    }
+
+    /// The dependency graph of a log (session min-frequency filter
+    /// applied), served from memory, the durable store, or a build.
+    pub fn graph(&self, log: &EventLog) -> Arc<DependencyGraph> {
+        self.graph_keyed(fingerprint_log(log), log)
+    }
+
+    /// [`graph`](Self::graph) with the log's content fingerprint already
+    /// known (the catalog fingerprints at admission time).
+    pub fn graph_keyed(&self, fingerprint: u64, log: &EventLog) -> Arc<DependencyGraph> {
+        self.model(fingerprint, log, None, None)
+    }
+
+    /// Matches two logs through the shared caches. Bit-identical to the
+    /// same pair through [`MatchSession`] or one-shot [`crate::Ems`]
+    /// (unlimited budget, cold seed, default thread policy).
+    pub fn try_match(&self, log1: &EventLog, log2: &EventLog) -> Result<MatchOutcome, CoreError> {
+        let (fp1, fp2) = (fingerprint_log(log1), fingerprint_log(log2));
+        self.run(
+            (fp1, log1),
+            (fp2, log2),
+            || (self.graph_keyed(fp1, log1), self.graph_keyed(fp2, log2)),
+            &SessionOptions::default(),
+            None,
+            None,
+        )
+    }
+
+    /// [`try_match`](Self::try_match) when both graphs are already in hand
+    /// (the catalog pins reference graphs itself): the model stage is
+    /// skipped, every other stage runs as usual.
+    pub fn try_match_modeled(
+        &self,
+        fp1: u64,
+        log1: &EventLog,
+        g1: &Arc<DependencyGraph>,
+        fp2: u64,
+        log2: &EventLog,
+        g2: &Arc<DependencyGraph>,
+    ) -> Result<MatchOutcome, CoreError> {
+        self.run(
+            (fp1, log1),
+            (fp2, log2),
+            || (Arc::clone(g1), Arc::clone(g2)),
+            &SessionOptions::default(),
+            None,
+            None,
+        )
+    }
+
+    /// Drops a graph and every substrate involving it from the in-memory
+    /// caches — the catalog's eviction hook. The durable store keeps its
+    /// snapshots, so the next access disk-warms (or rebuilds from the
+    /// source log); evicting is an availability/memory trade, never a
+    /// correctness event.
+    pub fn evict_graph(&self, fingerprint: u64) {
+        write_lock(&self.graphs).remove(&fingerprint);
+        write_lock(&self.substrates).retain(|k, _| k.0 != fingerprint && k.1 != fingerprint);
+    }
+
+    /// The one match pipeline every front door runs: outcome cache, then
+    /// model (`model` yields the pair's graphs), substrate, labels, solve
+    /// and aggregate. `prior` is the pair's warm-start source, used when
+    /// `options` asks for a warm start; `prof` nests the build stages'
+    /// profiler scopes under the caller's.
+    fn run(
+        &self,
+        (fp1, log1): (u64, &EventLog),
+        (fp2, log2): (u64, &EventLog),
+        model: impl FnOnce() -> (Arc<DependencyGraph>, Arc<DependencyGraph>),
+        options: &SessionOptions,
+        prior: Option<&Prior>,
+        prof: Option<&Profiler>,
+    ) -> Result<MatchOutcome, CoreError> {
+        // Outcome cache (see the module docs). Thread-count overrides don't
+        // gate anything here: results are bit-identical at every thread
+        // count.
+        let cacheable = options.recorder.is_none()
+            && options.injector.is_none()
+            && options.budget.is_unlimited()
+            && !options.warm_start;
+        if cacheable {
+            let cached = read_lock(&self.outcomes).get(&(fp1, fp2)).cloned();
+            if let Some(outcome) = cached {
+                mutex_lock(&self.stats).outcome_cache_hits += 1;
+                if let Some(rec) = self.recorder.as_deref() {
+                    rec.counter_add(
+                        "session.outcome_cache",
+                        ems_obs::labels(&[("result", "hit")]),
+                        1,
+                    );
+                }
+                return Ok(outcome);
+            }
+        }
+
+        // Model stage: one dependency graph per distinct log content.
+        let (g1, g2) = model();
+        // Substrate stage: one kernel substrate per (graphs, direction).
+        let fwd_sub = self.substrate(&g1, &g2, Direction::Forward, prof);
+        let bwd_sub = self.substrate(&g1, &g2, Direction::Backward, prof);
+        // Label stage: one label matrix per log-content pair.
+        let labels = self.label_matrix((fp1, log1), (fp2, log2), prof);
+
+        // Solve-boundary fault point: budget exhaustion clamps the run
+        // budget — the engine degrades to estimation (a defined, typed-error
+        // -free outcome) rather than failing the match.
+        let mut budget = options.budget.clone();
+        if let Some(injector) = options.injector.as_deref() {
+            match injector.next_op(FaultSite::Solve) {
+                Some(FaultKind::BudgetExhaust) => {
+                    budget = Budget {
+                        max_iterations: Some(1),
+                        ..budget
+                    };
+                }
+                Some(kind) if !kind.is_transient() => {
+                    return Err(CoreError::FaultInjected {
+                        site: FaultSite::Solve.name().to_string(),
+                        kind: kind.name().to_string(),
+                    });
+                }
+                _ => {}
+            }
+        }
+
+        // Solve stage: run both directions on cached substrates; the
+        // engines charge zero setup (the session already attributed it).
+        let seeds = prior
+            .filter(|_| options.warm_start)
+            .and_then(|p| p.seeds(&g1, &g2));
+        let (fwd_seed, bwd_seed) = match seeds {
+            Some((f, b)) => {
+                mutex_lock(&self.stats).warm_starts += 1;
+                if let Some(rec) = self.recorder.as_deref() {
+                    rec.counter_add("session.warm_start", ems_obs::labels(&[]), 1);
+                }
+                (Some(f), Some(b))
+            }
+            None => (None, None),
+        };
+        let solve = |direction, substrate, seed| {
+            Engine::try_with_substrate(&g1, &g2, &labels, &self.params, direction, substrate)?
+                .try_run(&RunOptions {
+                    seed,
+                    abort_below: None,
+                    budget: budget.clone(),
+                    threads: options.threads,
+                    oversubscribe: options.oversubscribe,
+                    recorder: options.recorder.clone(),
+                })
+        };
+        let fwd = solve(Direction::Forward, fwd_sub, fwd_seed)?;
+        let bwd = solve(Direction::Backward, bwd_sub, bwd_seed)?;
+
+        // Aggregate stage — identical combine to `Ems`.
+        let outcome = aggregate_directions(&self.params, fwd, bwd);
+        if cacheable {
+            write_lock(&self.outcomes)
+                .entry((fp1, fp2))
+                .or_insert_with(|| outcome.clone());
+        }
+        self.flush_fetch_hist();
+        Ok(outcome)
+    }
+
+    /// Builds (or fetches) the dependency graph of a log, keyed by its
+    /// content fingerprint. `side` names a handle-addressed log in the
+    /// stage telemetry.
+    fn model(
+        &self,
+        fp: u64,
+        log: &EventLog,
+        side: Option<&str>,
+        prof: Option<&Profiler>,
+    ) -> Arc<DependencyGraph> {
+        let mut scope = prof.map(|pf| pf.scope("model"));
+        let (mut removed, mut elapsed) = (0, Duration::ZERO);
+        // Disk tier: a snapshot keyed by (log content, min-frequency filter)
+        // rehydrates the graph into the session's shared symbol table.
+        let (graph, tier) = self.tiered(
+            &self.graphs,
+            fp,
+            (
+                SnapshotKind::Graph,
+                persist::graph_store_key(fp, self.min_frequency),
+                persist::GRAPH_PAYLOAD_VERSION,
+            ),
+            |bytes| {
+                persist::decode_graph_in(bytes, &mut mutex_lock(&self.table))
+                    .map_err(|e| e.to_string())
+            },
+            || {
+                // ems-lint: allow(wall-clock-randomness, stage timing feeds session telemetry only, never similarity values)
+                let started = Instant::now();
+                let built = DependencyGraph::from_log_in(log, &mut mutex_lock(&self.table));
+                let graph = if self.min_frequency > 0.0 {
+                    let (graph, filtered) = filter_min_frequency(&built, self.min_frequency);
+                    removed = filtered;
+                    graph
+                } else {
+                    built
+                };
+                elapsed = started.elapsed();
+                graph
+            },
+            persist::encode_graph,
+        );
+        {
+            let mut stats = mutex_lock(&self.stats);
+            match tier {
+                Tier::Memory => stats.graph_cache_hits += 1,
+                Tier::Disk => {}
+                Tier::Built => {
+                    stats.graph_builds += 1;
+                    stats.setup += elapsed;
+                }
+            }
+        }
+        if let Some(rec) = self.recorder.as_deref() {
+            rec.counter_add(
+                "session.graph_cache",
+                side_labels(&[("result", tier.result())], side),
+                1,
+            );
+            if tier == Tier::Built {
+                rec.span_closed("session.model", side_labels(&[], side), elapsed);
+                // Shape gauges keep the last write per side, so only a
+                // handle-addressed log has a series of its own.
+                if let Some(side) = side {
+                    observe_graph(&graph, rec, side);
+                    rec.counter_add(
+                        "graph_filtered_vertices",
+                        ems_obs::labels(&[("side", side)]),
+                        removed as u64,
+                    );
+                }
+            }
+        }
+        if let Some(s) = scope.as_mut() {
+            s.count(tier.scope_count(), 1);
+        }
+        graph
+    }
+
+    /// Builds (or fetches) the kernel substrate of a graph pair for one
+    /// direction, keyed by the graphs' content fingerprints.
+    fn substrate(
+        &self,
+        g1: &Arc<DependencyGraph>,
+        g2: &Arc<DependencyGraph>,
+        direction: Direction,
+        prof: Option<&Profiler>,
+    ) -> Arc<EngineSubstrate> {
+        let mut scope = prof.map(|pf| pf.scope("substrate"));
+        let dir_label = match direction {
+            Direction::Forward => "forward",
+            Direction::Backward => "backward",
+        };
+        let key = (g1.fingerprint(), g2.fingerprint(), direction as u8);
+        // Disk tier: the snapshot embeds direction and damping constant, and
+        // a decoded substrate must still fit the graphs it will be paired
+        // with — a shape disagreement means the key collided or the entry is
+        // stale, either way quarantine-and-rebuild territory.
+        let (sub, tier) = self.tiered(
+            &self.substrates,
+            key,
+            (
+                SnapshotKind::Substrate,
+                persist::substrate_store_key(key.0, key.1, direction, self.params.c),
+                persist::SUBSTRATE_PAYLOAD_VERSION,
+            ),
+            |bytes| match persist::decode_substrate(bytes, direction, self.params.c) {
+                Ok(sub) if sub.rows() == g1.num_real() && sub.cols() == g2.num_real() => Ok(sub),
+                Ok(sub) => Err(format!(
+                    "substrate shape {}x{} does not fit graphs {}x{}",
+                    sub.rows(),
+                    sub.cols(),
+                    g1.num_real(),
+                    g2.num_real()
+                )),
+                Err(e) => Err(e.to_string()),
+            },
+            || EngineSubstrate::build(g1, g2, direction, self.params.c),
+            persist::encode_substrate,
+        );
+        {
+            let mut stats = mutex_lock(&self.stats);
+            match tier {
+                Tier::Memory => stats.substrate_cache_hits += 1,
+                Tier::Disk => {}
+                Tier::Built => {
+                    stats.substrate_builds += 1;
+                    stats.setup += sub.build_time();
+                }
+            }
+        }
+        if let Some(rec) = self.recorder.as_deref() {
+            rec.counter_add(
+                "session.substrate_cache",
+                ems_obs::labels(&[("result", tier.result()), ("direction", dir_label)]),
+                1,
+            );
+            if tier == Tier::Built {
+                rec.span_closed(
+                    "session.substrate",
+                    ems_obs::labels(&[("direction", dir_label)]),
+                    sub.build_time(),
+                );
+            }
+        }
+        if let Some(s) = scope.as_mut() {
+            s.count(tier.scope_count(), 1);
+        }
+        sub
+    }
+
+    /// Builds (or fetches) the label matrix of a log pair, keyed by the
+    /// logs' content fingerprints.
+    fn label_matrix(
+        &self,
+        (fp1, log1): (u64, &EventLog),
+        (fp2, log2): (u64, &EventLog),
+        prof: Option<&Profiler>,
+    ) -> Arc<LabelMatrix> {
+        let mut scope = prof.map(|pf| pf.scope("labels"));
+        let (rows, cols) = (log1.alphabet_size(), log2.alphabet_size());
+        // Disk tier: the key separates label spaces (which measure filled
+        // the matrix; alpha = 1 stores an all-zeros matrix), and a decoded
+        // matrix must still fit the two alphabets.
+        let (m, tier) = self.tiered(
+            &self.labels,
+            (fp1, fp2),
+            (
+                SnapshotKind::Labels,
+                persist::labels_store_key(fp1, fp2, self.params.label_space()),
+                persist::LABELS_PAYLOAD_VERSION,
+            ),
+            |bytes| match persist::decode_labels(bytes) {
+                Ok(m) if m.rows() == rows && m.cols() == cols => Ok(m),
+                Ok(m) => Err(format!(
+                    "label matrix shape {}x{} does not fit alphabets {rows}x{cols}",
+                    m.rows(),
+                    m.cols()
+                )),
+                Err(e) => Err(e.to_string()),
+            },
+            || label_matrix_for(&self.params, log1, log2),
+            persist::encode_labels,
+        );
+        match tier {
+            Tier::Memory => mutex_lock(&self.stats).label_cache_hits += 1,
+            Tier::Disk => {}
+            Tier::Built => mutex_lock(&self.stats).label_builds += 1,
+        }
+        if let Some(rec) = self.recorder.as_deref() {
+            rec.counter_add(
+                "session.label_cache",
+                ems_obs::labels(&[("result", tier.result())]),
+                1,
+            );
+        }
+        if let Some(s) = scope.as_mut() {
+            s.count(tier.scope_count(), 1);
+        }
+        m
+    }
+
+    /// One build stage's lookup chain: memory cache → store snapshot
+    /// (`decode` validates it; a rejected snapshot is quarantined) → `build`
+    /// (best-effort persisted through `encode`). Reports which tier served.
+    #[allow(clippy::too_many_arguments)] // one closure per tier transition
+    fn tiered<K: Ord, T>(
+        &self,
+        cache: &RwLock<BTreeMap<K, Arc<T>>>,
+        key: K,
+        (kind, store_key, version): (SnapshotKind, u64, u32),
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+        build: impl FnOnce() -> T,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+    ) -> (Arc<T>, Tier) {
+        let cached = read_lock(cache).get(&key).cloned();
+        if let Some(product) = cached {
+            return (product, Tier::Memory);
+        }
+        let mut decoded = None;
+        if let Some(bytes) = self.store_fetch(kind, store_key, version) {
+            match decode(&bytes) {
+                Ok(product) => {
+                    mutex_lock(&self.stats).store_hits += 1;
+                    decoded = Some(product);
+                }
+                Err(reason) => self.store_quarantine(kind, store_key, &reason),
+            }
+        }
+        let tier = if decoded.is_some() {
+            Tier::Disk
+        } else {
+            Tier::Built
+        };
+        let product = Arc::new(decoded.unwrap_or_else(build));
+        if tier == Tier::Built {
+            self.store_put(kind, store_key, version, || encode(&product));
+        }
+        // Re-check under the write lock: a racing worker may have landed
+        // the identical product first — keep theirs so every caller shares
+        // one allocation.
+        let product = Arc::clone(write_lock(cache).entry(key).or_insert(product));
+        (product, tier)
+    }
+
+    /// Disk-tier read: the payload of a valid snapshot, or `None` with the
+    /// matching counter bumped. Envelope-level corruption was already
+    /// quarantined by the store itself; every failure class degrades to a
+    /// rebuild.
+    fn store_fetch(&self, kind: SnapshotKind, key: u64, version: u32) -> Option<Vec<u8>> {
+        let store = self.store.as_deref()?;
+        // ems-lint: allow(wall-clock-randomness, store-fetch latency feeds a nondeterministic telemetry histogram only, never similarity values)
+        let started = self.recorder.is_some().then(Instant::now);
+        let result = store.get(kind, key, version);
+        if let Some(started) = started {
+            let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            mutex_lock(&self.fetch_hist)
+                .get_or_insert_with(|| {
+                    Histogram::nondeterministic(
+                        "session.store_fetch_us",
+                        ems_obs::labels(&[]),
+                        "us",
+                    )
+                })
+                .observe(us);
+        }
+        let mut stats = mutex_lock(&self.stats);
+        match result {
+            Ok(Some(bytes)) => return Some(bytes),
+            Ok(None) => stats.store_misses += 1,
+            Err(EmsError::StoreCorrupt { .. }) => stats.store_quarantines += 1,
+            Err(_) => stats.store_read_failures += 1,
+        }
+        None
+    }
+
+    /// Quarantines a snapshot whose payload failed decode-side validation
+    /// (the envelope checksum passed, so the store could not have caught it).
+    fn store_quarantine(&self, kind: SnapshotKind, key: u64, reason: &str) {
+        if let Some(store) = &self.store {
+            store.quarantine_entry(kind, key, reason);
+            mutex_lock(&self.stats).store_quarantines += 1;
+        }
+    }
+
+    /// Best-effort snapshot write after a rebuild: a failure only counts —
+    /// the durable tier must never fail a match. `encode` runs only when a
+    /// store is attached.
+    fn store_put(
+        &self,
+        kind: SnapshotKind,
+        key: u64,
+        version: u32,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) {
+        if let Some(store) = &self.store {
+            if store.put(kind, key, version, &encode()).is_err() {
+                mutex_lock(&self.stats).store_write_failures += 1;
+            }
+        }
+    }
+
+    /// Flushes the accumulated store-fetch latency histogram to the session
+    /// recorder, if any fetches were timed since the last flush.
+    fn flush_fetch_hist(&self) {
+        let hist = mutex_lock(&self.fetch_hist).take();
+        if let (Some(rec), Some(h)) = (self.recorder.as_deref(), hist) {
+            if !h.is_empty() {
+                rec.histogram(h.into_record());
+            }
+        }
+    }
+}
+
+#[derive(Debug)]
+struct SessionLog {
+    log: EventLog,
+    fingerprint: u64,
+}
+
+/// The handle layer over a [`SharedSession`]: ingested logs addressed by
+/// [`LogHandle`], per-call [`SessionOptions`], and warm-start priors per
+/// handle pair. See the module docs for the stage/caching model.
+#[derive(Debug)]
+pub struct MatchSession {
+    shared: SharedSession,
+    logs: Vec<SessionLog>,
     /// Prior fixpoints by handle pair — survives `append_traces` (the warm
     /// seed for the re-match), unlike the fingerprint-keyed caches which the
     /// new content simply misses.
     priors: BTreeMap<(u32, u32), Prior>,
-    /// Outcome cache: (log fp 1, log fp 2) → full match result. The solve
-    /// stage dominates a fully-cached re-match (every build stage already
-    /// hits its cache), so identical inputs are served the memoized
-    /// outcome instead of re-running both fixpoints. Only plain calls
-    /// participate — an engine recorder, fault injector, budget or
-    /// warm-start request makes the call observably different from a
-    /// replay, and such calls bypass this cache entirely (both read and
-    /// write).
-    outcomes: BTreeMap<(u64, u64), MatchOutcome>,
-    /// Optional durable tier behind the in-memory caches: every build stage
-    /// consults it on a memory miss and re-persists what it rebuilds.
-    store: Option<Arc<CatalogStore>>,
-    stats: SessionStats,
-    recorder: Option<Arc<Recorder>>,
-    /// Store-fetch latency accumulated across one match's stage lookups,
-    /// flushed to the session recorder as a single `session.store_fetch_us`
-    /// histogram (exec class: latency is non-deterministic, so redacted
-    /// exports zero its contents).
-    fetch_hist: Option<Histogram>,
 }
 
 impl MatchSession {
@@ -246,61 +917,54 @@ impl MatchSession {
     /// Fallible variant of [`new`](Self::new): returns
     /// [`CoreError::InvalidParams`] instead of panicking.
     pub fn try_new(params: EmsParams) -> Result<Self, CoreError> {
-        params.validate().map_err(CoreError::InvalidParams)?;
         Ok(MatchSession {
-            params,
-            min_frequency: 0.0,
-            table: SymbolTable::new(),
+            shared: SharedSession::try_new(params)?,
             logs: Vec::new(),
-            graphs: BTreeMap::new(),
-            substrates: BTreeMap::new(),
-            labels: BTreeMap::new(),
             priors: BTreeMap::new(),
-            outcomes: BTreeMap::new(),
-            store: None,
-            stats: SessionStats::default(),
-            recorder: None,
-            fetch_hist: None,
         })
     }
 
-    /// Attaches the session telemetry sink (stage spans, cache counters).
-    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
+    /// Attaches the session telemetry sink (stage spans, cache counters,
+    /// profiler scopes).
+    pub fn with_recorder(self, recorder: Arc<Recorder>) -> Self {
+        MatchSession {
+            shared: self.shared.with_recorder(recorder),
+            ..self
+        }
     }
 
-    /// Attaches a durable catalog store as the tier between the in-memory
-    /// caches and a rebuild (see the module docs). Store failures never
-    /// fail a match: corruption quarantines the snapshot and rebuilds, I/O
-    /// errors degrade to a rebuild.
-    pub fn with_store(mut self, store: Arc<CatalogStore>) -> Self {
-        self.store = Some(store);
-        self
+    /// Attaches a durable catalog store; see
+    /// [`SharedSession::with_store`].
+    pub fn with_store(self, store: Arc<CatalogStore>) -> Self {
+        MatchSession {
+            shared: self.shared.with_store(store),
+            ..self
+        }
     }
 
-    /// Sets the minimum edge frequency applied when building graphs
-    /// (Section 2 filtering). A session constant: it participates in every
-    /// model-stage build, so it is deliberately not part of the cache keys.
-    pub fn with_min_frequency(mut self, threshold: f64) -> Self {
-        self.min_frequency = threshold;
-        self
+    /// Sets the minimum edge frequency applied when building graphs; see
+    /// [`SharedSession::with_min_frequency`].
+    pub fn with_min_frequency(self, threshold: f64) -> Self {
+        MatchSession {
+            shared: self.shared.with_min_frequency(threshold),
+            ..self
+        }
     }
 
     /// The session's parameters.
     pub fn params(&self) -> &EmsParams {
-        &self.params
+        self.shared.params()
     }
 
     /// The session-wide symbol table. Grows as logs are modeled; symbols
     /// are shared across every graph the session builds.
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.table
+    pub fn symbols(&self) -> MutexGuard<'_, SymbolTable> {
+        mutex_lock(&self.shared.table)
     }
 
     /// Cache and setup counters accumulated so far.
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
+    pub fn stats(&self) -> SessionStats {
+        self.shared.stats()
     }
 
     /// Takes ownership of a log and returns its handle.
@@ -341,29 +1005,28 @@ impl MatchSession {
         self.match_pair_opts(h1, h2, &SessionOptions::default())
     }
 
-    /// Matches two ingested logs: model, substrate and label products are
-    /// served from the session caches when their fingerprints match, and the
-    /// solve stage optionally warm-starts from the pair's prior fixpoint.
+    /// Matches two ingested logs: a plain replay is served from the outcome
+    /// cache, otherwise model, substrate and label products are served from
+    /// the session caches when their fingerprints match, and the solve
+    /// stage optionally warm-starts from the pair's prior fixpoint.
     pub fn match_pair_opts(
         &mut self,
         h1: LogHandle,
         h2: LogHandle,
         options: &SessionOptions,
     ) -> Result<MatchOutcome, CoreError> {
-        self.session_log(h1)?;
-        self.session_log(h2)?;
+        let (s1, s2) = (self.session_log(h1)?, self.session_log(h2)?);
+        let shared = &self.shared;
 
         // Scoped profiling (session recorder only): one `session.match`
-        // scope per call, with the build stages nested beneath it. The
-        // profiler is per-call so the scope guards never borrow `self`
-        // across the `&mut self` stage methods.
-        let profiler = self.recorder.as_ref().map(|r| Profiler::new(Arc::clone(r)));
-        let mut match_scope = profiler.as_ref().map(|pf| pf.scope("session.match"));
-        let builds_before =
-            self.stats.graph_builds + self.stats.substrate_builds + self.stats.label_builds;
-        let hits_before = self.stats.graph_cache_hits
-            + self.stats.substrate_cache_hits
-            + self.stats.label_cache_hits;
+        // scope per call, with the build stages nested beneath it.
+        let profiler = shared
+            .recorder
+            .as_ref()
+            .map(|r| Profiler::new(Arc::clone(r)));
+        let prof = profiler.as_ref();
+        let mut match_scope = prof.map(|pf| pf.scope("session.match"));
+        let before = shared.stats();
 
         // Ingest-boundary fault point: a transient fault is absorbed (the
         // stage "retries" by simply proceeding — the inputs are already in
@@ -379,153 +1042,34 @@ impl MatchSession {
             }
         }
 
-        // Model stage: one dependency graph per distinct log content.
-        let g1 = self.model_stage(h1, profiler.as_ref());
-        let g2 = self.model_stage(h2, profiler.as_ref());
-
-        // Substrate stage: one kernel substrate per (graphs, direction).
-        let fwd_sub = self.substrate_stage(&g1, &g2, Direction::Forward, profiler.as_ref());
-        let bwd_sub = self.substrate_stage(&g1, &g2, Direction::Backward, profiler.as_ref());
-
-        // Label stage: one label matrix per log-content pair.
-        let labels = self.label_stage(h1, h2, profiler.as_ref());
-
-        // Outcome cache: with every build stage already served from cache,
-        // the two fixpoint solves dominate a repeat match — serve the
-        // memoized outcome when the call is a plain replay of identical
-        // content. Thread-count overrides don't gate anything here: results
-        // are bit-identical at every thread count.
-        let fp1 = self.logs[h1.index()].fingerprint;
-        let fp2 = self.logs[h2.index()].fingerprint;
-        let outcome_cacheable = options.recorder.is_none()
-            && options.injector.is_none()
-            && options.budget.is_unlimited()
-            && !options.warm_start;
-        if outcome_cacheable {
-            if let Some(cached) = self.outcomes.get(&(fp1, fp2)) {
-                let outcome = cached.clone();
-                self.stats.outcome_cache_hits += 1;
-                if let Some(rec) = self.recorder.as_deref() {
-                    rec.counter_add("session.outcome_cache_hit", ems_obs::labels(&[]), 1);
-                }
-                // The served fixpoint is also the freshest warm-start
-                // source for this handle pair — same insert the solved
-                // path performs.
-                self.priors.insert(
-                    (h1.0, h2.0),
-                    Prior {
-                        forward: SparseSim::from_dense(&outcome.forward, 0.0),
-                        backward: SparseSim::from_dense(&outcome.backward, 0.0),
-                    },
-                );
-                self.flush_fetch_hist();
-                if let Some(mut s) = match_scope.take() {
-                    s.count("outcome_cache_hits", 1);
-                }
-                return Ok(outcome);
-            }
-        }
-
-        // Solve-boundary fault point: budget exhaustion clamps the run
-        // budget — the engine degrades to estimation (a defined, typed-error
-        // -free outcome) rather than failing the match.
-        let mut budget = options.budget.clone();
-        if let Some(injector) = options.injector.as_deref() {
-            match injector.next_op(FaultSite::Solve) {
-                Some(FaultKind::BudgetExhaust) => {
-                    budget = Budget {
-                        max_iterations: Some(1),
-                        ..budget
-                    };
-                }
-                Some(kind) if !kind.is_transient() => {
-                    return Err(CoreError::FaultInjected {
-                        site: FaultSite::Solve.name().to_string(),
-                        kind: kind.name().to_string(),
-                    });
-                }
-                _ => {}
-            }
-        }
-
-        // Solve stage: run both directions on cached substrates; the
-        // engines charge zero setup (the session already attributed it).
-        let seed = options
-            .warm_start
-            .then(|| self.warm_seed(h1, h2, &g1, &g2))
-            .flatten();
-        let run_options = |seed: Option<Seed>| RunOptions {
-            seed,
-            abort_below: None,
-            budget: budget.clone(),
-            threads: options.threads,
-            oversubscribe: options.oversubscribe,
-            recorder: options.recorder.clone(),
-        };
-        let (fwd_seed, bwd_seed) = match seed {
-            Some((f, b)) => {
-                self.stats.warm_starts += 1;
-                if let Some(rec) = self.recorder.as_deref() {
-                    rec.counter_add("session.warm_start", ems_obs::labels(&[]), 1);
-                }
-                (Some(f), Some(b))
-            }
-            None => (None, None),
-        };
-        let fwd = Engine::try_with_substrate(
-            &g1,
-            &g2,
-            &labels,
-            &self.params,
-            Direction::Forward,
-            fwd_sub,
-        )?
-        .try_run(&run_options(fwd_seed))?;
-        let bwd = Engine::try_with_substrate(
-            &g1,
-            &g2,
-            &labels,
-            &self.params,
-            Direction::Backward,
-            bwd_sub,
-        )?
-        .try_run(&run_options(bwd_seed))?;
-
-        // Aggregate stage — identical combine to `Ems`, then remember the
-        // fixpoint as the pair's warm-start source.
-        let outcome = aggregate_directions(&self.params, fwd, bwd);
-        self.priors.insert(
-            (h1.0, h2.0),
-            Prior {
-                forward: SparseSim::from_dense(&outcome.forward, 0.0),
-                backward: SparseSim::from_dense(&outcome.backward, 0.0),
+        let (side1, side2) = (format!("log{}", h1.0 + 1), format!("log{}", h2.0 + 1));
+        let outcome = shared.run(
+            (s1.fingerprint, &s1.log),
+            (s2.fingerprint, &s2.log),
+            || {
+                (
+                    shared.model(s1.fingerprint, &s1.log, Some(&side1), prof),
+                    shared.model(s2.fingerprint, &s2.log, Some(&side2), prof),
+                )
             },
-        );
-        if outcome_cacheable {
-            self.outcomes.insert((fp1, fp2), outcome.clone());
-        }
-        self.flush_fetch_hist();
+            options,
+            self.priors.get(&(h1.0, h2.0)),
+            prof,
+        )?;
         if let Some(mut s) = match_scope.take() {
-            let builds_after =
-                self.stats.graph_builds + self.stats.substrate_builds + self.stats.label_builds;
-            let hits_after = self.stats.graph_cache_hits
-                + self.stats.substrate_cache_hits
-                + self.stats.label_cache_hits;
-            s.count("builds", builds_after - builds_before);
-            s.count("cache_hits", hits_after - hits_before);
-            s.count("solves", 2);
-        }
-        Ok(outcome)
-    }
-
-    /// Flushes the accumulated store-fetch latency histogram to the session
-    /// recorder, if any fetches were timed during this match.
-    fn flush_fetch_hist(&mut self) {
-        if let (Some(rec), Some(h)) = (self.recorder.as_deref(), self.fetch_hist.take()) {
-            if !h.is_empty() {
-                rec.histogram(h.into_record());
+            let after = shared.stats();
+            if after.outcome_cache_hits > before.outcome_cache_hits {
+                s.count("outcome_cache_hits", 1);
+            } else {
+                s.count("builds", after.builds() - before.builds());
+                s.count("cache_hits", after.cache_hits() - before.cache_hits());
+                s.count("solves", 2);
             }
         }
+        // The fixpoint, solved or served, is the pair's freshest warm-start
+        // source.
+        self.priors.insert((h1.0, h2.0), Prior::of(&outcome));
+        Ok(outcome)
     }
 
     fn session_log(&self, handle: LogHandle) -> Result<&SessionLog, CoreError> {
@@ -534,380 +1078,7 @@ impl MatchSession {
             logs: self.logs.len(),
         })
     }
-
-    /// Builds (or fetches) the dependency graph of a log, keyed by its
-    /// content fingerprint.
-    fn model_stage(&mut self, handle: LogHandle, prof: Option<&Profiler>) -> Arc<DependencyGraph> {
-        let mut scope = prof.map(|pf| pf.scope("model"));
-        let fp = self.logs[handle.index()].fingerprint;
-        let side = format!("log{}", handle.0 + 1);
-        if let Some(g) = self.graphs.get(&fp) {
-            self.stats.graph_cache_hits += 1;
-            if let Some(rec) = self.recorder.as_deref() {
-                rec.counter_add(
-                    "session.graph_cache",
-                    ems_obs::labels(&[("result", "hit"), ("side", &side)]),
-                    1,
-                );
-            }
-            if let Some(s) = scope.as_mut() {
-                s.count("cache_hits", 1);
-            }
-            return Arc::clone(g);
-        }
-        // Disk tier: a snapshot keyed by (log content, min-frequency filter)
-        // rehydrates the graph into the session's shared symbol table.
-        let store_key = persist::graph_store_key(fp, self.min_frequency);
-        if let Some(bytes) = self.store_fetch(
-            SnapshotKind::Graph,
-            store_key,
-            persist::GRAPH_PAYLOAD_VERSION,
-        ) {
-            match persist::decode_graph_in(&bytes, &mut self.table) {
-                Ok(graph) => {
-                    self.stats.store_hits += 1;
-                    if let Some(rec) = self.recorder.as_deref() {
-                        rec.counter_add(
-                            "session.graph_cache",
-                            ems_obs::labels(&[("result", "disk"), ("side", &side)]),
-                            1,
-                        );
-                    }
-                    let graph = Arc::new(graph);
-                    self.graphs.insert(fp, Arc::clone(&graph));
-                    if let Some(s) = scope.as_mut() {
-                        s.count("store_hits", 1);
-                    }
-                    return graph;
-                }
-                Err(e) => self.store_quarantine(SnapshotKind::Graph, store_key, &e.to_string()),
-            }
-        }
-        // ems-lint: allow(wall-clock-randomness, stage timing feeds session telemetry only, never similarity values)
-        let started = Instant::now();
-        let built = DependencyGraph::from_log_in(&self.logs[handle.index()].log, &mut self.table);
-        let (graph, removed) = if self.min_frequency > 0.0 {
-            filter_min_frequency(&built, self.min_frequency)
-        } else {
-            (built, 0)
-        };
-        let elapsed = started.elapsed();
-        self.stats.graph_builds += 1;
-        self.stats.setup += elapsed;
-        if let Some(rec) = self.recorder.as_deref() {
-            rec.counter_add(
-                "session.graph_cache",
-                ems_obs::labels(&[("result", "miss"), ("side", &side)]),
-                1,
-            );
-            rec.span_closed(
-                "session.model",
-                ems_obs::labels(&[("side", &side)]),
-                elapsed,
-            );
-            observe_graph(&graph, rec, &side);
-            rec.counter_add(
-                "graph_filtered_vertices",
-                ems_obs::labels(&[("side", &side)]),
-                removed as u64,
-            );
-        }
-        let graph = Arc::new(graph);
-        self.store_put(
-            SnapshotKind::Graph,
-            store_key,
-            persist::GRAPH_PAYLOAD_VERSION,
-            || persist::encode_graph(&graph),
-        );
-        self.graphs.insert(fp, Arc::clone(&graph));
-        if let Some(s) = scope.as_mut() {
-            s.count("builds", 1);
-        }
-        graph
-    }
-
-    /// Builds (or fetches) the kernel substrate of a graph pair for one
-    /// direction, keyed by the graphs' content fingerprints.
-    fn substrate_stage(
-        &mut self,
-        g1: &Arc<DependencyGraph>,
-        g2: &Arc<DependencyGraph>,
-        direction: Direction,
-        prof: Option<&Profiler>,
-    ) -> Arc<EngineSubstrate> {
-        let mut scope = prof.map(|pf| pf.scope("substrate"));
-        let dir_label = match direction {
-            Direction::Forward => "forward",
-            Direction::Backward => "backward",
-        };
-        let key = (g1.fingerprint(), g2.fingerprint(), direction as u8);
-        if let Some(sub) = self.substrates.get(&key) {
-            self.stats.substrate_cache_hits += 1;
-            if let Some(rec) = self.recorder.as_deref() {
-                rec.counter_add(
-                    "session.substrate_cache",
-                    ems_obs::labels(&[("result", "hit"), ("direction", dir_label)]),
-                    1,
-                );
-            }
-            if let Some(s) = scope.as_mut() {
-                s.count("cache_hits", 1);
-            }
-            return Arc::clone(sub);
-        }
-        // Disk tier: the snapshot embeds direction and damping constant, and
-        // a decoded substrate must still fit the graphs it will be paired
-        // with — a shape disagreement means the key collided or the entry is
-        // stale, either way quarantine-and-rebuild territory.
-        let store_key = persist::substrate_store_key(key.0, key.1, direction, self.params.c);
-        if let Some(bytes) = self.store_fetch(
-            SnapshotKind::Substrate,
-            store_key,
-            persist::SUBSTRATE_PAYLOAD_VERSION,
-        ) {
-            match persist::decode_substrate(&bytes, direction, self.params.c) {
-                Ok(sub) if sub.rows() == g1.num_real() && sub.cols() == g2.num_real() => {
-                    self.stats.store_hits += 1;
-                    if let Some(rec) = self.recorder.as_deref() {
-                        rec.counter_add(
-                            "session.substrate_cache",
-                            ems_obs::labels(&[("result", "disk"), ("direction", dir_label)]),
-                            1,
-                        );
-                    }
-                    let sub = Arc::new(sub);
-                    self.substrates.insert(key, Arc::clone(&sub));
-                    if let Some(s) = scope.as_mut() {
-                        s.count("store_hits", 1);
-                    }
-                    return sub;
-                }
-                Ok(sub) => self.store_quarantine(
-                    SnapshotKind::Substrate,
-                    store_key,
-                    &format!(
-                        "substrate shape {}x{} does not fit graphs {}x{}",
-                        sub.rows(),
-                        sub.cols(),
-                        g1.num_real(),
-                        g2.num_real()
-                    ),
-                ),
-                Err(e) => self.store_quarantine(SnapshotKind::Substrate, store_key, &e.to_string()),
-            }
-        }
-        let sub = Arc::new(EngineSubstrate::build(g1, g2, direction, self.params.c));
-        self.stats.substrate_builds += 1;
-        self.stats.setup += sub.build_time();
-        if let Some(rec) = self.recorder.as_deref() {
-            rec.counter_add(
-                "session.substrate_cache",
-                ems_obs::labels(&[("result", "miss"), ("direction", dir_label)]),
-                1,
-            );
-            rec.span_closed(
-                "session.substrate",
-                ems_obs::labels(&[("direction", dir_label)]),
-                sub.build_time(),
-            );
-        }
-        self.store_put(
-            SnapshotKind::Substrate,
-            store_key,
-            persist::SUBSTRATE_PAYLOAD_VERSION,
-            || persist::encode_substrate(&sub),
-        );
-        self.substrates.insert(key, Arc::clone(&sub));
-        if let Some(s) = scope.as_mut() {
-            s.count("builds", 1);
-        }
-        sub
-    }
-
-    /// Builds (or fetches) the label matrix of a log pair, keyed by the
-    /// logs' content fingerprints.
-    fn label_stage(
-        &mut self,
-        h1: LogHandle,
-        h2: LogHandle,
-        prof: Option<&Profiler>,
-    ) -> Arc<LabelMatrix> {
-        let mut scope = prof.map(|pf| pf.scope("labels"));
-        let key = (
-            self.logs[h1.index()].fingerprint,
-            self.logs[h2.index()].fingerprint,
-        );
-        if let Some(m) = self.labels.get(&key) {
-            self.stats.label_cache_hits += 1;
-            if let Some(rec) = self.recorder.as_deref() {
-                rec.counter_add(
-                    "session.label_cache",
-                    ems_obs::labels(&[("result", "hit")]),
-                    1,
-                );
-            }
-            if let Some(s) = scope.as_mut() {
-                s.count("cache_hits", 1);
-            }
-            return Arc::clone(m);
-        }
-        // Disk tier: the key separates label spaces (which measure filled
-        // the matrix; alpha = 1 stores an all-zeros matrix), and a decoded
-        // matrix must still fit the two alphabets.
-        let space = self.params.label_space();
-        let store_key = persist::labels_store_key(key.0, key.1, space);
-        let (rows, cols) = (
-            self.logs[h1.index()].log.alphabet_size(),
-            self.logs[h2.index()].log.alphabet_size(),
-        );
-        if let Some(bytes) = self.store_fetch(
-            SnapshotKind::Labels,
-            store_key,
-            persist::LABELS_PAYLOAD_VERSION,
-        ) {
-            match persist::decode_labels(&bytes) {
-                Ok(m) if m.rows() == rows && m.cols() == cols => {
-                    self.stats.store_hits += 1;
-                    if let Some(rec) = self.recorder.as_deref() {
-                        rec.counter_add(
-                            "session.label_cache",
-                            ems_obs::labels(&[("result", "disk")]),
-                            1,
-                        );
-                    }
-                    let m = Arc::new(m);
-                    self.labels.insert(key, Arc::clone(&m));
-                    if let Some(s) = scope.as_mut() {
-                        s.count("store_hits", 1);
-                    }
-                    return m;
-                }
-                Ok(m) => self.store_quarantine(
-                    SnapshotKind::Labels,
-                    store_key,
-                    &format!(
-                        "label matrix shape {}x{} does not fit alphabets {rows}x{cols}",
-                        m.rows(),
-                        m.cols()
-                    ),
-                ),
-                Err(e) => self.store_quarantine(SnapshotKind::Labels, store_key, &e.to_string()),
-            }
-        }
-        let m = Arc::new(label_matrix_for(
-            &self.params,
-            &self.logs[h1.index()].log,
-            &self.logs[h2.index()].log,
-        ));
-        self.stats.label_builds += 1;
-        if let Some(rec) = self.recorder.as_deref() {
-            rec.counter_add(
-                "session.label_cache",
-                ems_obs::labels(&[("result", "miss")]),
-                1,
-            );
-        }
-        self.store_put(
-            SnapshotKind::Labels,
-            store_key,
-            persist::LABELS_PAYLOAD_VERSION,
-            || persist::encode_labels(&m),
-        );
-        self.labels.insert(key, Arc::clone(&m));
-        if let Some(s) = scope.as_mut() {
-            s.count("builds", 1);
-        }
-        m
-    }
-
-    /// Disk-tier read: the payload of a valid snapshot, or `None` with the
-    /// matching counter bumped. Envelope-level corruption was already
-    /// quarantined by the store itself; every failure class degrades to a
-    /// rebuild.
-    fn store_fetch(&mut self, kind: SnapshotKind, key: u64, version: u32) -> Option<Vec<u8>> {
-        let store = Arc::clone(self.store.as_ref()?);
-        // ems-lint: allow(wall-clock-randomness, store-fetch latency feeds a nondeterministic telemetry histogram only, never similarity values)
-        let started = self.recorder.is_some().then(Instant::now);
-        let result = store.get(kind, key, version);
-        if let Some(started) = started {
-            let hist = self.fetch_hist.get_or_insert_with(|| {
-                Histogram::nondeterministic("session.store_fetch_us", ems_obs::labels(&[]), "us")
-            });
-            hist.observe(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-        }
-        match result {
-            Ok(Some(bytes)) => Some(bytes),
-            Ok(None) => {
-                self.stats.store_misses += 1;
-                None
-            }
-            Err(EmsError::StoreCorrupt { .. }) => {
-                self.stats.store_quarantines += 1;
-                None
-            }
-            Err(_) => {
-                self.stats.store_read_failures += 1;
-                None
-            }
-        }
-    }
-
-    /// Quarantines a snapshot whose payload failed decode-side validation
-    /// (the envelope checksum passed, so the store could not have caught it).
-    fn store_quarantine(&mut self, kind: SnapshotKind, key: u64, reason: &str) {
-        if let Some(store) = &self.store {
-            store.quarantine_entry(kind, key, reason);
-            self.stats.store_quarantines += 1;
-        }
-    }
-
-    /// Best-effort snapshot write after a rebuild: a failure only counts —
-    /// the durable tier must never fail a match. `encode` runs only when a
-    /// store is attached.
-    fn store_put(
-        &mut self,
-        kind: SnapshotKind,
-        key: u64,
-        version: u32,
-        encode: impl FnOnce() -> Vec<u8>,
-    ) {
-        if let Some(store) = &self.store {
-            if store.put(kind, key, version, &encode()).is_err() {
-                self.stats.store_write_failures += 1;
-            }
-        }
-    }
-
-    /// The warm seeds for a pair: its prior fixpoint, if one exists and
-    /// still fits the current pair space (an append can change the alphabet
-    /// and with it the matrix shape — a stale-shaped prior is skipped, not
-    /// an error).
-    fn warm_seed(
-        &self,
-        h1: LogHandle,
-        h2: LogHandle,
-        g1: &DependencyGraph,
-        g2: &DependencyGraph,
-    ) -> Option<(Seed, Seed)> {
-        let prior = self.priors.get(&(h1.0, h2.0))?;
-        let (n1, n2) = (g1.num_real(), g2.num_real());
-        if prior.forward.rows() != n1 || prior.forward.cols() != n2 {
-            return None;
-        }
-        let unfrozen = vec![false; n1 * n2];
-        Some((
-            Seed {
-                values: prior.forward.to_dense(),
-                frozen: unfrozen.clone(),
-            },
-            Seed {
-                values: prior.backward.to_dense(),
-                frozen: unfrozen,
-            },
-        ))
-    }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -973,12 +1144,13 @@ mod tests {
         assert_eq!(cold.similarity.max_abs_diff(&cached.similarity), 0.0);
         let stats = session.stats();
         assert_eq!(stats.graph_builds, 2);
-        assert_eq!(stats.graph_cache_hits, 2);
         assert_eq!(stats.substrate_builds, 2);
-        assert_eq!(stats.substrate_cache_hits, 2);
         assert_eq!(stats.label_builds, 1);
-        assert_eq!(stats.label_cache_hits, 1);
-        // The repeat was a plain replay, so both solves were skipped too.
+        // The repeat was a plain replay: the outcome cache, checked before
+        // any stage, served it without touching the build caches.
+        assert_eq!(stats.graph_cache_hits, 0);
+        assert_eq!(stats.substrate_cache_hits, 0);
+        assert_eq!(stats.label_cache_hits, 0);
         assert_eq!(stats.outcome_cache_hits, 1);
     }
 
@@ -1319,5 +1491,62 @@ mod tests {
         let a = session.match_pair(h1, h2).unwrap();
         let b = session.match_pair_opts(h1, h2, &threads_opts).unwrap();
         assert_eq!(a.similarity.max_abs_diff(&b.similarity), 0.0);
+    }
+
+    #[test]
+    fn shared_matches_match_session_bitwise() {
+        let (l1, l2) = dag_logs();
+        let mut session = MatchSession::new(exact_params());
+        let h1 = session.ingest(l1.clone());
+        let h2 = session.ingest(l2.clone());
+        let expected = session.match_pair(h1, h2).unwrap();
+
+        let shared = SharedSession::try_new(exact_params()).unwrap();
+        let got = shared.try_match(&l1, &l2).unwrap();
+        assert_eq!(got.similarity.max_abs_diff(&expected.similarity), 0.0);
+        assert_eq!(got.forward.max_abs_diff(&expected.forward), 0.0);
+        assert_eq!(got.backward.max_abs_diff(&expected.backward), 0.0);
+    }
+
+    #[test]
+    fn repeat_matches_hit_every_cache() {
+        let (l1, l2) = dag_logs();
+        let shared = SharedSession::try_new(exact_params()).unwrap();
+        shared.try_match(&l1, &l2).unwrap();
+        shared.try_match(&l1, &l2).unwrap();
+        let stats = shared.stats();
+        assert_eq!(stats.graph_builds, 2);
+        assert_eq!(stats.substrate_builds, 2);
+        assert_eq!(stats.label_builds, 1);
+        assert_eq!(stats.outcome_cache_hits, 1);
+    }
+
+    #[test]
+    fn shared_store_tier_warms_and_degrades_like_match_session() {
+        let root = std::env::temp_dir().join(format!("ems-shared-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (l1, l2) = dag_logs();
+        let cold = {
+            let store = Arc::new(CatalogStore::open(&root).unwrap());
+            let shared = SharedSession::try_new(exact_params())
+                .unwrap()
+                .with_store(store);
+            let out = shared.try_match(&l1, &l2).unwrap();
+            assert_eq!(shared.stats().store_misses, 5);
+            out
+        };
+        // A fresh shared session disk-warms every build stage.
+        let store = Arc::new(CatalogStore::open(&root).unwrap());
+        let shared = SharedSession::try_new(exact_params())
+            .unwrap()
+            .with_store(store);
+        let warm = shared.try_match(&l1, &l2).unwrap();
+        assert_eq!(warm.similarity.max_abs_diff(&cold.similarity), 0.0);
+        let stats = shared.stats();
+        assert_eq!(stats.store_hits, 5);
+        assert_eq!(stats.graph_builds, 0);
+        assert_eq!(stats.substrate_builds, 0);
+        assert_eq!(stats.label_builds, 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

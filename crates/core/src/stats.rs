@@ -2,7 +2,7 @@
 //!
 //! These types used to live inside the engine module; they are the *solve*
 //! stage's control and reporting surface, shared by the engine kernels, the
-//! [`crate::session::MatchSession`] and the composite matcher. They are
+//! session pipeline ([`crate::session`]) and the composite matcher. They are
 //! re-exported from [`crate::engine`] for backwards compatibility.
 
 use crate::sim::SimMatrix;
@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 
 /// Initial state carried into a run — used by the composite matcher to reuse
 /// similarities that Proposition 4 proves unchanged, and by
-/// [`crate::session::MatchSession`] to warm-start re-matches from a prior
-/// fixpoint (sound per Theorem 1's monotone unique fixpoint).
+/// [`crate::session::MatchSession`] (through the session's solve stage) to
+/// warm-start re-matches from a prior fixpoint (sound per Theorem 1's
+/// monotone unique fixpoint).
 #[derive(Debug, Clone)]
 pub struct Seed {
     /// Initial values: frozen pairs hold their known-correct similarities,
@@ -124,8 +125,9 @@ pub struct PhaseTimes {
     /// Building the kernel substrate (longest distances, CSR export,
     /// compatibility tables). Attributed exactly once to whoever performed
     /// the build: a standalone [`crate::engine::Engine`] charges it to its
-    /// own runs, while a [`crate::session::MatchSession`] owns the build
-    /// and reports it at session level
+    /// own runs, while a session ([`crate::session::SharedSession`], or a
+    /// [`crate::session::MatchSession`] over one) owns the build and reports
+    /// it at session level
     /// ([`crate::session::SessionStats::setup`]) — runs executed against a
     /// cached substrate report `setup == 0` here, so merging their stats
     /// never double-counts shared setup work.

@@ -5,10 +5,11 @@
 //! itself and the one-off derivation of the longest distances `l(v)`
 //! (Proposition 2), the CSR neighbor export and the tabulated compatibility
 //! factors of [`PairContext`]. [`EngineSubstrate`] owns that one-off product
-//! so it can outlive any single [`crate::engine::Engine`]: a
-//! [`crate::session::MatchSession`] caches substrates by graph fingerprint
-//! and hands them to engines via `Arc`, turning a re-match against an
-//! already-seen graph pair into pure solve work.
+//! so it can outlive any single [`crate::engine::Engine`]: the session
+//! pipeline ([`crate::session::SharedSession`], and the
+//! [`crate::session::MatchSession`] handle layer over it) caches substrates
+//! by graph fingerprint and hands them to engines via `Arc`, turning a
+//! re-match against an already-seen graph pair into pure solve work.
 
 use crate::error::CoreError;
 use crate::kernel::PairContext;

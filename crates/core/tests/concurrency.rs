@@ -1,6 +1,7 @@
-//! Interleaving tests for the engine's two shared-state mechanisms: the
+//! Interleaving tests for the engine's two shared-state mechanisms — the
 //! `Mutex<DenseScratch>` buffer reuse (`try_lock` with local fallback) and
-//! the active-pair worklist's retire-exactly-once accounting.
+//! the active-pair worklist's retire-exactly-once accounting — and for the
+//! session's `RwLock`ed stage caches, with and without a durable store.
 //!
 //! The workspace carries no loom-style model checker (no external deps), so
 //! these are scheduled-interleaving tests in its spirit: many rounds of
@@ -12,11 +13,13 @@
 //! counters must account for every pair exactly once per iteration.
 
 use ems_core::engine::{Budget, Engine, RunOptions, RunStats, Seed};
-use ems_core::{Direction, EmsParams, SimMatrix};
+use ems_core::{Direction, EmsParams, MatchOutcome, SharedSession, SimMatrix};
 use ems_depgraph::DependencyGraph;
+use ems_events::EventLog;
 use ems_labels::LabelMatrix;
 use ems_rng::StdRng;
-use std::sync::Barrier;
+use ems_store::CatalogStore;
+use std::sync::{Arc, Barrier};
 
 fn random_log(rng: &mut StdRng, alphabet: usize) -> ems_events::EventLog {
     let mut log = ems_events::EventLog::new();
@@ -241,4 +244,114 @@ fn worklist_accounting_holds_with_frozen_pairs() {
     );
     let reference = engine.run_reference(&opts);
     assert_same_work(&reference.stats, &out.stats, "frozen-seed run");
+}
+
+/// Acyclic logs with distinct names, so every pair has a finite
+/// Proposition-2 horizon.
+fn session_logs() -> (EventLog, EventLog) {
+    let mut l1 = EventLog::new();
+    l1.push_trace(["cash", "validate", "ship"]);
+    l1.push_trace(["cash", "validate", "ship"]);
+    l1.push_trace(["card", "validate", "ship"]);
+    let mut l2 = EventLog::new();
+    l2.push_trace(["e0", "e1", "e3", "e4"]);
+    l2.push_trace(["e0", "e2", "e3", "e4"]);
+    (l1, l2)
+}
+
+fn exact_params() -> EmsParams {
+    EmsParams {
+        epsilon: 1e-300,
+        ..EmsParams::structural()
+    }
+}
+
+#[test]
+fn concurrent_queries_are_bit_identical_to_serial() {
+    let (l1, l2) = session_logs();
+    let serial = {
+        let shared = SharedSession::try_new(exact_params()).unwrap();
+        shared.try_match(&l1, &l2).unwrap()
+    };
+    let shared = SharedSession::try_new(exact_params()).unwrap();
+    let outcomes: Vec<MatchOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| scope.spawn(|| shared.try_match(&l1, &l2).unwrap()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for out in &outcomes {
+        assert_eq!(out.similarity.max_abs_diff(&serial.similarity), 0.0);
+    }
+    // However the race resolved, the sum of builds and outcome-cache
+    // hits accounts for all eight queries.
+    let stats = shared.stats();
+    assert!(stats.graph_builds >= 2);
+    assert!(stats.outcome_cache_hits <= 7);
+}
+
+/// Eight threads walk every ordered pair of four random logs, each from
+/// its own starting offset, through one session with a durable store:
+/// graph, substrate, label and outcome inserts race, and so do snapshot
+/// reads and writes of the same keys. Every outcome must be bit-identical
+/// to the serial one-shot match of its pair, and a fresh session over the
+/// store the race left behind must reproduce them too.
+#[test]
+#[cfg_attr(miri, ignore)] // real file I/O
+fn concurrent_mixed_pairs_through_a_stored_session_are_bit_identical() {
+    const THREADS: usize = 8;
+    let mut rng = StdRng::seed_from_u64(0x5E55);
+    let logs: Vec<EventLog> = (0..4).map(|_| random_log(&mut rng, 7)).collect();
+    let pairs: Vec<(usize, usize)> = (0..logs.len())
+        .flat_map(|i| {
+            (0..logs.len())
+                .filter(move |&j| j != i)
+                .map(move |j| (i, j))
+        })
+        .collect();
+    let serial: Vec<MatchOutcome> = pairs
+        .iter()
+        .map(|&(i, j)| ems_core::Ems::new(exact_params()).match_logs(&logs[i], &logs[j]))
+        .collect();
+    let check = |out: &MatchOutcome, p: usize, what: &str| {
+        assert_bitwise(&out.similarity, &serial[p].similarity, what);
+        assert_bitwise(&out.forward, &serial[p].forward, what);
+        assert_bitwise(&out.backward, &serial[p].backward, what);
+    };
+
+    let root = std::env::temp_dir().join(format!("ems-concurrent-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = Arc::new(CatalogStore::open(&root).unwrap());
+    let shared = SharedSession::try_new(exact_params())
+        .unwrap()
+        .with_store(Arc::clone(&store));
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (shared, logs, pairs, barrier, check) = (&shared, &logs, &pairs, &barrier, &check);
+            scope.spawn(move || {
+                barrier.wait();
+                for k in 0..pairs.len() {
+                    let p = (t + k) % pairs.len();
+                    let (i, j) = pairs[p];
+                    let out = shared.try_match(&logs[i], &logs[j]).unwrap();
+                    check(&out, p, &format!("thread {t}, pair {i}->{j}"));
+                }
+            });
+        }
+    });
+    // Each pair was solved at least once and each graph built at least
+    // once (the store started empty), however the races resolved.
+    let stats = shared.stats();
+    assert!(stats.outcome_cache_hits <= ((THREADS - 1) * pairs.len()) as u64);
+    assert!(stats.graph_builds >= logs.len() as u64);
+
+    let fresh = SharedSession::try_new(exact_params())
+        .unwrap()
+        .with_store(store);
+    for (p, &(i, j)) in pairs.iter().enumerate() {
+        let out = fresh.try_match(&logs[i], &logs[j]).unwrap();
+        check(&out, p, &format!("disk-warm pair {i}->{j}"));
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }

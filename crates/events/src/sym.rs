@@ -6,7 +6,8 @@
 //! equal labels compare equal across logs without touching the strings. A
 //! [`SymbolTable`] provides that space: it interns names into dense
 //! [`LabelSym`]s that are stable for the lifetime of the table (typically a
-//! `MatchSession`), so hot paths compare `u32`s and strings are only
+//! matching session — `SharedSession`, which `MatchSession` and the catalog
+//! both match through), so hot paths compare `u32`s and strings are only
 //! materialized at the parse and report edges.
 //!
 //! The module also provides [`Fnv1a`], a dependency-free 64-bit FNV-1a hasher
