@@ -1,16 +1,13 @@
 //! CI perf smoke: times the seed reference kernel against the worklist
-//! kernel across a thread sweep (1/2/4/8 pooled workers) and against the
-//! δ-thresholded sparse kernel on synthetic log pairs, plus the session
-//! pipeline (cold build vs cached re-match vs warm-started re-match vs
-//! disk-warm rehydration from the durable catalog store), and writes the
-//! results to the path given by the mandatory `--out PATH` argument (CI
-//! passes `BENCH_pr7.json`). A Prometheus-text metrics file is written
+//! kernel across a thread sweep (1/2/4/8 pooled workers, capped at the
+//! host's parallelism) on synthetic log pairs, plus the session pipeline
+//! (cold build vs cached re-match vs warm-started re-match vs disk-warm
+//! rehydration from the durable catalog store), and writes the results
+//! to the path given by the mandatory `--out PATH` argument (CI passes
+//! `BENCH_pr7.json`). A Prometheus-text metrics file is written
 //! alongside (same stem, `.prom` extension), and every size's JSON entry
 //! carries the per-iteration convergence telemetry of an untimed traced
-//! run. The n=3200 size runs in sparse mode only — the point of that row
-//! is that sparsification makes the size tractable at all, so it runs a
-//! contraction/threshold pair under which δ-dropping provably engages
-//! within the pinned iteration budget (see [`LARGE_SPARSE_DELTA`]).
+//! run.
 //!
 //! With `--baseline PATH` the run additionally compares its serial
 //! pairs/sec per size against a previously committed report and exits 3
@@ -24,7 +21,7 @@
 
 use ems_catalog::{outcome_score, Catalog};
 use ems_core::engine::{Engine, RunOptions, RunOutput};
-use ems_core::{Direction, EmsParams, MatchSession, SessionOptions, SharedSession, SparseSim};
+use ems_core::{Direction, EmsParams, MatchSession, SessionOptions, SharedSession};
 use ems_depgraph::DependencyGraph;
 use ems_labels::LabelMatrix;
 use ems_obs::trajectory::TrajectoryRow;
@@ -36,37 +33,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Sizes measured with the full dense matrix (reference + sweep + sparse
-/// cross-check + session pipeline).
-const DENSE_SIZES: &[usize] = &[50, 200, 800];
-/// The large size runs sparse-mode only: no reference kernel, no session
-/// rows — its job is to show the sparse path scales past the dense sweet
-/// spot.
-const LARGE_SIZE: usize = 3200;
-/// Worker counts of the thread sweep. Explicit counts spin up a real pool
-/// even when the host exposes fewer cores (the speedup is then ~1×, which
-/// the JSON reports honestly via `host_parallelism`).
+/// Measured sizes (reference + sweep + session pipeline each).
+const SIZES: &[usize] = &[50, 200, 800];
+/// Worker counts of the thread sweep. Only counts the host has cores for
+/// run (`t = 1` always does): an oversubscribed pool measures scheduling
+/// overhead, not a speedup, so those points are left out of every output.
 const THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];
-/// δ of the thresholded (approximate) sparse rows at the dense sizes.
-/// The exactness row always runs at δ = 0.
-const SPARSE_DELTA: f64 = 0.01;
-/// Exact iterations before sparsification engages.
-const SPARSE_WARMUP: usize = 2;
-/// δ of the n=3200 sparse-only row. Dropping a pair needs its Prop-2
-/// upper bound `s_k + α·c^k/(1−α·c)` under δ, so the geometric tail must
-/// decay below `δ − s` within the pinned budget: at the default c=0.8
-/// that takes 15+ iterations, so the large row tightens the contraction
-/// to [`LARGE_SPARSE_C`] (tail `2.5·0.6^k` < 0.1 by iteration 5) and
-/// uses a δ sitting inside the synthetic pairs' score range. Measured at
-/// n=3200 this drops ~79% of the grid and makes 12 sparse iterations
-/// cheaper than 6 dense ones.
-const LARGE_SPARSE_DELTA: f64 = 0.3;
-/// Contraction factor of the n=3200 row (see [`LARGE_SPARSE_DELTA`]).
-const LARGE_SPARSE_C: f64 = 0.6;
-/// Pinned iteration budget of the n=3200 row: enough for the certificate
-/// to engage (~iteration 5-6) plus a post-collapse tail that shows the
-/// shrunken worklist iterating cheaply.
-const LARGE_MAX_ITERATIONS: usize = 12;
 /// References pinned by the serve-throughput row's catalog:
 /// [`SERVE_QUERIES`] families of [`SERVE_FAMILY_VARIANTS`] near-duplicate
 /// deployments each, the rest structurally unrelated decoys.
@@ -131,17 +103,6 @@ struct SweepPoint {
     pool_shards: u64,
 }
 
-/// Dense-vs-sparse cross-check (dense sizes only — the large size has no
-/// dense run to compare against).
-struct SparseReport {
-    exact_wall_ms: f64,
-    thresholded_wall_ms: f64,
-    sparsified_pairs: u64,
-    final_occupancy: f64,
-    max_abs_error: f64,
-    error_bound: f64,
-}
-
 struct SessionReport {
     cold_ms: f64,
     cached_ms: f64,
@@ -151,20 +112,17 @@ struct SessionReport {
 
 struct SizeReport {
     n: usize,
-    mode: &'static str,
     pairs: usize,
     iterations: usize,
     formula_evals: u64,
     setup_ms: f64,
-    reference_ms: Option<f64>,
+    reference_ms: f64,
+    /// The swept thread counts the host has cores for, `t = 1` first.
     sweep: Vec<SweepPoint>,
-    sparse: Option<SparseReport>,
-    sparsified_pairs: u64,
-    final_occupancy: f64,
-    session: Option<SessionReport>,
+    session: SessionReport,
     convergence: Vec<IterationRecord>,
     /// Relative wall-clock cost of running with a recorder + profiler
-    /// attached vs bare (n=800 dense row only; the profiler budget is 5%).
+    /// attached vs bare (n=800 row only; the profiler budget is 5%).
     profiler_overhead_frac: Option<f64>,
 }
 
@@ -181,12 +139,10 @@ impl SizeReport {
         self.sweep[0].wall_ms
     }
 
-    /// Best wall over the multi-threaded sweep points.
-    fn parallel_ms(&self) -> f64 {
-        self.sweep[1..]
-            .iter()
-            .map(|p| p.wall_ms)
-            .fold(f64::INFINITY, f64::min)
+    /// Best wall over the multi-threaded sweep points; `None` on a host
+    /// with one core, where no multi-threaded point ran.
+    fn parallel_ms(&self) -> Option<f64> {
+        self.sweep[1..].iter().map(|p| p.wall_ms).reduce(f64::min)
     }
 }
 
@@ -308,18 +264,18 @@ fn trajectory_row(
             format!("{p}.serial_pairs_per_sec"),
             r.pairs_per_sec(r.serial_ms()),
         );
-        metrics.insert(format!("{p}.parallel_wall_ms"), r.parallel_ms());
-        metrics.insert(
-            format!("{p}.parallel_pairs_per_sec"),
-            r.pairs_per_sec(r.parallel_ms()),
-        );
-        if let Some(reference_ms) = r.reference_ms {
-            metrics.insert(format!("{p}.reference_wall_ms"), reference_ms);
+        if let Some(parallel_ms) = r.parallel_ms() {
+            metrics.insert(format!("{p}.parallel_wall_ms"), parallel_ms);
             metrics.insert(
-                format!("{p}.reference_pairs_per_sec"),
-                r.pairs_per_sec(reference_ms),
+                format!("{p}.parallel_pairs_per_sec"),
+                r.pairs_per_sec(parallel_ms),
             );
         }
+        metrics.insert(format!("{p}.reference_wall_ms"), r.reference_ms);
+        metrics.insert(
+            format!("{p}.reference_pairs_per_sec"),
+            r.pairs_per_sec(r.reference_ms),
+        );
         for pt in &r.sweep {
             metrics.insert(format!("{p}.t{}.wall_ms", pt.threads), pt.wall_ms);
             metrics.insert(
@@ -331,23 +287,11 @@ fn trajectory_row(
                 pt.pool_shards as f64,
             );
         }
-        if let Some(sp) = &r.sparse {
-            metrics.insert(format!("{p}.sparse.exact_wall_ms"), sp.exact_wall_ms);
-            metrics.insert(
-                format!("{p}.sparse.thresholded_wall_ms"),
-                sp.thresholded_wall_ms,
-            );
-            metrics.insert(
-                format!("{p}.sparse.sparsified_pairs"),
-                sp.sparsified_pairs as f64,
-            );
-        }
-        if let Some(s) = &r.session {
-            metrics.insert(format!("{p}.session_cold_wall_ms"), s.cold_ms);
-            metrics.insert(format!("{p}.session_cached_wall_ms"), s.cached_ms);
-            metrics.insert(format!("{p}.session_warm_wall_ms"), s.warm_ms);
-            metrics.insert(format!("{p}.session_disk_wall_ms"), s.disk_ms);
-        }
+        let s = &r.session;
+        metrics.insert(format!("{p}.session_cold_wall_ms"), s.cold_ms);
+        metrics.insert(format!("{p}.session_cached_wall_ms"), s.cached_ms);
+        metrics.insert(format!("{p}.session_warm_wall_ms"), s.warm_ms);
+        metrics.insert(format!("{p}.session_disk_wall_ms"), s.disk_ms);
         metrics.insert(
             format!("{p}.convergence_iterations"),
             r.convergence.len() as f64,
@@ -430,11 +374,10 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let metrics = Recorder::new();
-    let mut reports = Vec::new();
-    for &n in DENSE_SIZES {
-        reports.push(dense_size(n, host_parallelism, &metrics));
-    }
-    reports.push(sparse_size(LARGE_SIZE, &metrics));
+    let reports: Vec<SizeReport> = SIZES
+        .iter()
+        .map(|&n| measure_size(n, host_parallelism, &metrics))
+        .collect();
     let serve = serve_bench(&metrics);
 
     let json = render_json(host_parallelism, &reports, &serve);
@@ -491,9 +434,9 @@ fn main() {
     }
 }
 
-/// Full measurement of one dense-tractable size: reference kernel, thread
-/// sweep, sparse cross-checks, session pipeline, convergence trace.
-fn dense_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeReport {
+/// Full measurement of one size: reference kernel, thread sweep, session
+/// pipeline, convergence trace.
+fn measure_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeReport {
     let (l1, l2) = pair(n);
     let g1 = DependencyGraph::from_log(&l1);
     let g2 = DependencyGraph::from_log(&l2);
@@ -502,25 +445,21 @@ fn dense_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeRepo
     // Pin the round count so every kernel does identical work.
     params.max_iterations = 6;
     params.epsilon = 1e-15;
-    let sparse_exact_params = params.clone().with_sparse(0.0, SPARSE_WARMUP);
-    let sparse_thresh_params = params.clone().with_sparse(SPARSE_DELTA, SPARSE_WARMUP);
     let engine = Engine::new(&g1, &g2, &labels, &params, Direction::Forward);
-    let sparse_exact = Engine::new(&g1, &g2, &labels, &sparse_exact_params, Direction::Forward);
-    let sparse_thresh = Engine::new(&g1, &g2, &labels, &sparse_thresh_params, Direction::Forward);
     let rounds = if n >= 800 { 3 } else { 5 };
 
-    let sweep_opts: Vec<RunOptions> = THREAD_SWEEP
+    let threads: Vec<usize> = THREAD_SWEEP
+        .iter()
+        .copied()
+        .filter(|&t| t == 1 || t <= host_parallelism)
+        .collect();
+    let sweep_opts: Vec<RunOptions> = threads
         .iter()
         .map(|&t| RunOptions {
             threads: Some(t),
-            oversubscribe: true,
             ..RunOptions::default()
         })
         .collect();
-    let serial_opts = RunOptions {
-        threads: Some(1),
-        ..RunOptions::default()
-    };
     let engine_ref = &engine;
     let mut variants: Vec<Box<dyn FnMut() -> RunOutput>> = Vec::new();
     variants.push(Box::new(|| {
@@ -529,12 +468,10 @@ fn dense_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeRepo
     for opts in &sweep_opts {
         variants.push(Box::new(move || engine_ref.run(opts)));
     }
-    variants.push(Box::new(|| sparse_exact.run(&serial_opts)));
-    variants.push(Box::new(|| sparse_thresh.run(&serial_opts)));
     let (walls, outs) = time_round_robin(rounds, &mut variants);
     drop(variants);
     let reference_ms = walls[0];
-    let sweep: Vec<SweepPoint> = THREAD_SWEEP
+    let sweep: Vec<SweepPoint> = threads
         .iter()
         .enumerate()
         .map(|(i, &t)| SweepPoint {
@@ -544,39 +481,18 @@ fn dense_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeRepo
         })
         .collect();
     let serial_out = &outs[1];
-    let exact_idx = 1 + THREAD_SWEEP.len();
-    let sparse_thresh_out = &outs[exact_idx + 1];
 
-    // Smoke-check the equivalence contracts while we are here: the
-    // reference kernel, every pooled thread count, and the δ=0 sparse
-    // mode must agree bit-for-bit.
-    for out in &outs[..=exact_idx] {
+    // Smoke-check the equivalence contract while we are here: the
+    // reference kernel and every pooled thread count must agree
+    // bit-for-bit.
+    for out in &outs {
         assert_eq!(out.sim.data(), serial_out.sim.data());
         assert_eq!(out.stats.iterations, serial_out.stats.iterations);
     }
-    // δ>0 is approximate, but provably within δ/(1−α·c) of the exact
-    // scores (see the sparse-similarity module docs).
-    let error_bound = SPARSE_DELTA / (1.0 - params.alpha * params.c);
-    let max_abs_error = serial_out
-        .sim
-        .data()
-        .iter()
-        .zip(sparse_thresh_out.sim.data())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    assert!(
-        max_abs_error <= error_bound,
-        "n={n}: sparse δ={SPARSE_DELTA} error {max_abs_error} exceeds bound {error_bound}"
-    );
-    // Parallel-scaling gate (satellite/CI): only meaningful where the
-    // host actually has the cores; on smaller machines the sweep numbers
-    // are still reported but not asserted on.
-    if n == 800 && host_parallelism >= 4 {
-        let t4 = sweep
-            .iter()
-            .find(|p| p.threads == 4)
-            .map(|p| p.wall_ms)
-            .unwrap_or(f64::INFINITY);
+    // Parallel-scaling gate (satellite/CI): the 4-thread point only runs
+    // where the host has the cores.
+    let t4 = sweep.iter().find(|p| p.threads == 4).map(|p| p.wall_ms);
+    if let (800, Some(t4)) = (n, t4) {
         assert!(
             t4 < 0.7 * sweep[0].wall_ms,
             "n=800: 4-thread wall {t4:.1} ms is not < 0.7x serial {:.1} ms",
@@ -597,7 +513,7 @@ fn dense_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeRepo
     assert_eq!(traced_out.sim.data(), serial_out.sim.data());
     let convergence = convergence_of(&recorder);
 
-    // Profiler-overhead row (largest dense size only): bare serial run vs
+    // Profiler-overhead row (largest size only): bare serial run vs
     // serial run with recorder + profiler attached, interleaved best-of-N
     // so machine drift cancels. The instrumentation budget is 5%.
     let profiler_overhead_frac = if n >= 800 {
@@ -654,16 +570,6 @@ fn dense_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeRepo
     }
     metrics.gauge_set(
         "bench_wall_ms",
-        size_labels("sparse_exact"),
-        walls[exact_idx],
-    );
-    metrics.gauge_set(
-        "bench_wall_ms",
-        size_labels("sparse_thresholded"),
-        walls[exact_idx + 1],
-    );
-    metrics.gauge_set(
-        "bench_wall_ms",
         size_labels("session_cold"),
         session.cold_ms,
     );
@@ -688,158 +594,32 @@ fn dense_size(n: usize, host_parallelism: usize, metrics: &Recorder) -> SizeRepo
         serial_out.stats.formula_evals as f64,
     );
 
+    let parallel = sweep[1..]
+        .iter()
+        .map(|p| format!(", {}-thread {:.1} ms", p.threads, p.wall_ms))
+        .collect::<String>();
     eprintln!(
-        "n={n}: reference {reference_ms:.1} ms, serial {:.1} ms ({:.2}x), \
-         4-thread {:.1} ms; sparse exact {:.1} ms, sparse δ={SPARSE_DELTA} {:.1} ms \
-         (max err {max_abs_error:.4} ≤ {error_bound}); session cold {:.1} ms, \
-         cached {:.1} ms, warm {:.1} ms, disk-warm {:.1} ms",
+        "n={n}: reference {reference_ms:.1} ms, serial {:.1} ms ({:.2}x){parallel}; \
+         session cold {:.1} ms, cached {:.1} ms, warm {:.1} ms, disk-warm {:.1} ms",
         sweep[0].wall_ms,
         reference_ms / sweep[0].wall_ms,
-        sweep
-            .iter()
-            .find(|p| p.threads == 4)
-            .map(|p| p.wall_ms)
-            .unwrap_or(f64::NAN),
-        walls[exact_idx],
-        walls[exact_idx + 1],
         session.cold_ms,
         session.cached_ms,
         session.warm_ms,
         session.disk_ms,
     );
 
-    let final_occupancy = SparseSim::from_dense(&sparse_thresh_out.sim, 0.0).occupancy();
     SizeReport {
         n,
-        mode: "dense",
         pairs: g1.num_real() * g2.num_real(),
         iterations: serial_out.stats.iterations,
         formula_evals: serial_out.stats.formula_evals,
         setup_ms: serial_out.stats.phase_times.setup.as_secs_f64() * 1e3,
-        reference_ms: Some(reference_ms),
-        sparse: Some(SparseReport {
-            exact_wall_ms: walls[exact_idx],
-            thresholded_wall_ms: walls[exact_idx + 1],
-            sparsified_pairs: sparse_thresh_out.stats.sparsified_pairs,
-            final_occupancy,
-            max_abs_error,
-            error_bound,
-        }),
-        sparsified_pairs: sparse_thresh_out.stats.sparsified_pairs,
-        final_occupancy,
+        reference_ms,
         sweep,
-        session: Some(session),
+        session,
         convergence,
         profiler_overhead_frac,
-    }
-}
-
-/// The large size: sparse δ-thresholded mode only, thread sweep included.
-/// No reference kernel (O(n²) dense walls) and no session rows — this row
-/// exists to show the sparse path makes the size tractable.
-fn sparse_size(n: usize, metrics: &Recorder) -> SizeReport {
-    let (l1, l2) = pair(n);
-    let g1 = DependencyGraph::from_log(&l1);
-    let g2 = DependencyGraph::from_log(&l2);
-    let labels = LabelMatrix::zeros(g1.num_real(), g2.num_real());
-    let mut params = EmsParams::structural().with_sparse(LARGE_SPARSE_DELTA, SPARSE_WARMUP);
-    params.c = LARGE_SPARSE_C;
-    params.max_iterations = LARGE_MAX_ITERATIONS;
-    params.epsilon = 1e-15;
-    let engine = Engine::new(&g1, &g2, &labels, &params, Direction::Forward);
-    // Each n=3200 run is ~a minute of wall; warm-up + one timed round per
-    // variant keeps the whole row inside a CI-tolerable budget.
-    let rounds = 1;
-
-    let sweep_opts: Vec<RunOptions> = THREAD_SWEEP
-        .iter()
-        .map(|&t| RunOptions {
-            threads: Some(t),
-            oversubscribe: true,
-            ..RunOptions::default()
-        })
-        .collect();
-    let engine_ref = &engine;
-    let mut variants: Vec<Box<dyn FnMut() -> RunOutput>> = Vec::new();
-    for opts in &sweep_opts {
-        variants.push(Box::new(move || engine_ref.run(opts)));
-    }
-    let (walls, outs) = time_round_robin(rounds, &mut variants);
-    drop(variants);
-    let sweep: Vec<SweepPoint> = THREAD_SWEEP
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| SweepPoint {
-            threads: t,
-            wall_ms: walls[i],
-            pool_shards: outs[i].stats.pool_shards,
-        })
-        .collect();
-    let serial_out = &outs[0];
-    // Thread counts must agree bit-for-bit even in sparse mode.
-    for out in &outs {
-        assert_eq!(out.sim.data(), serial_out.sim.data());
-    }
-    assert!(
-        serial_out.stats.sparsified_pairs > 0,
-        "n={n}: sparse mode never dropped a pair — the row is not exercising sparsification"
-    );
-
-    let recorder = Arc::new(Recorder::new());
-    let traced_opts = RunOptions {
-        threads: Some(1),
-        recorder: Some(Arc::clone(&recorder)),
-        ..RunOptions::default()
-    };
-    let traced_out = engine.run(&traced_opts);
-    assert_eq!(traced_out.sim.data(), serial_out.sim.data());
-    let convergence = convergence_of(&recorder);
-
-    for p in &sweep {
-        metrics.gauge_set(
-            "bench_wall_ms",
-            ems_obs::labels(&[
-                ("n", &n.to_string()),
-                ("kernel", "sparse_pool"),
-                ("threads", &p.threads.to_string()),
-            ]),
-            p.wall_ms,
-        );
-    }
-    metrics.gauge_set(
-        "bench_formula_evals",
-        ems_obs::labels(&[("n", &n.to_string())]),
-        serial_out.stats.formula_evals as f64,
-    );
-
-    let final_occupancy = SparseSim::from_dense(&serial_out.sim, 0.0).occupancy();
-    eprintln!(
-        "n={n} (sparse δ={LARGE_SPARSE_DELTA}, c={LARGE_SPARSE_C}): serial {:.1} ms, \
-         4-thread {:.1} ms; {} pairs sparsified, final occupancy {final_occupancy:.3}",
-        sweep[0].wall_ms,
-        sweep
-            .iter()
-            .find(|p| p.threads == 4)
-            .map(|p| p.wall_ms)
-            .unwrap_or(f64::NAN),
-        serial_out.stats.sparsified_pairs,
-    );
-
-    SizeReport {
-        n,
-        mode: "sparse",
-        pairs: g1.num_real() * g2.num_real(),
-        iterations: serial_out.stats.iterations,
-        formula_evals: serial_out.stats.formula_evals,
-        setup_ms: serial_out.stats.phase_times.setup.as_secs_f64() * 1e3,
-        reference_ms: None,
-        sparse: None,
-        sparsified_pairs: serial_out.stats.sparsified_pairs,
-        final_occupancy,
-        sweep,
-        session: None,
-        convergence,
-        profiler_overhead_frac: None,
     }
 }
 
@@ -1217,53 +997,44 @@ fn render_json(
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"pr7_kernel_scaling\",\n");
     let _ = writeln!(json, "  \"host_parallelism\": {host_parallelism},");
-    let _ = writeln!(json, "  \"sparse_delta\": {SPARSE_DELTA},");
-    let _ = writeln!(json, "  \"sparse_warmup\": {SPARSE_WARMUP},");
     json.push_str("  \"sizes\": [\n");
     for (i, r) in reports.iter().enumerate() {
         json.push_str("    {\n");
         let _ = writeln!(json, "      \"n\": {},", r.n);
-        let _ = writeln!(json, "      \"mode\": \"{}\",", r.mode);
-        if r.mode == "sparse" {
-            // The sparse-only row runs its own threshold/contraction pair
-            // (the top-level sparse_delta applies to the dense sizes).
-            let _ = writeln!(json, "      \"delta\": {LARGE_SPARSE_DELTA},");
-            let _ = writeln!(json, "      \"c\": {LARGE_SPARSE_C},");
-        }
         let _ = writeln!(json, "      \"pairs\": {},", r.pairs);
         let _ = writeln!(json, "      \"iterations\": {},", r.iterations);
         let _ = writeln!(json, "      \"formula_evals\": {},", r.formula_evals);
         let _ = writeln!(json, "      \"setup_ms\": {:.3},", r.setup_ms);
-        if let Some(reference_ms) = r.reference_ms {
-            let _ = writeln!(json, "      \"reference_wall_ms\": {reference_ms:.3},");
-            let _ = writeln!(
-                json,
-                "      \"reference_pairs_per_sec\": {:.0},",
-                r.pairs_per_sec(reference_ms)
-            );
-            let _ = writeln!(
-                json,
-                "      \"speedup_serial_vs_reference\": {:.2},",
-                reference_ms / r.serial_ms()
-            );
-        }
+        let _ = writeln!(json, "      \"reference_wall_ms\": {:.3},", r.reference_ms);
+        let _ = writeln!(
+            json,
+            "      \"reference_pairs_per_sec\": {:.0},",
+            r.pairs_per_sec(r.reference_ms)
+        );
+        let _ = writeln!(
+            json,
+            "      \"speedup_serial_vs_reference\": {:.2},",
+            r.reference_ms / r.serial_ms()
+        );
         let _ = writeln!(json, "      \"serial_wall_ms\": {:.3},", r.serial_ms());
         let _ = writeln!(
             json,
             "      \"serial_pairs_per_sec\": {:.0},",
             r.pairs_per_sec(r.serial_ms())
         );
-        let _ = writeln!(json, "      \"parallel_wall_ms\": {:.3},", r.parallel_ms());
-        let _ = writeln!(
-            json,
-            "      \"parallel_pairs_per_sec\": {:.0},",
-            r.pairs_per_sec(r.parallel_ms())
-        );
-        let _ = writeln!(
-            json,
-            "      \"speedup_parallel_vs_serial\": {:.2},",
-            r.serial_ms() / r.parallel_ms()
-        );
+        if let Some(parallel_ms) = r.parallel_ms() {
+            let _ = writeln!(json, "      \"parallel_wall_ms\": {parallel_ms:.3},");
+            let _ = writeln!(
+                json,
+                "      \"parallel_pairs_per_sec\": {:.0},",
+                r.pairs_per_sec(parallel_ms)
+            );
+            let _ = writeln!(
+                json,
+                "      \"speedup_parallel_vs_serial\": {:.2},",
+                r.serial_ms() / parallel_ms
+            );
+        }
         json.push_str("      \"thread_sweep\": [\n");
         for (j, p) in r.sweep.iter().enumerate() {
             let _ = write!(
@@ -1279,47 +1050,20 @@ fn render_json(
             json.push_str(if j + 1 == r.sweep.len() { "\n" } else { ",\n" });
         }
         json.push_str("      ],\n");
-        let _ = writeln!(json, "      \"sparsified_pairs\": {},", r.sparsified_pairs);
-        let _ = write!(json, "      \"final_occupancy\": ");
-        ems_obs::json::write_f64(&mut json, r.final_occupancy);
-        json.push_str(",\n");
-        if let Some(sp) = &r.sparse {
-            json.push_str("      \"sparse\": {\n");
-            let _ = writeln!(json, "        \"delta\": {SPARSE_DELTA},");
-            let _ = writeln!(json, "        \"exact_wall_ms\": {:.3},", sp.exact_wall_ms);
-            let _ = writeln!(
-                json,
-                "        \"thresholded_wall_ms\": {:.3},",
-                sp.thresholded_wall_ms
-            );
-            let _ = writeln!(
-                json,
-                "        \"sparsified_pairs\": {},",
-                sp.sparsified_pairs
-            );
-            let _ = write!(json, "        \"final_occupancy\": ");
-            ems_obs::json::write_f64(&mut json, sp.final_occupancy);
-            json.push_str(",\n        \"max_abs_error\": ");
-            ems_obs::json::write_f64(&mut json, sp.max_abs_error);
-            json.push_str(",\n        \"error_bound\": ");
-            ems_obs::json::write_f64(&mut json, sp.error_bound);
-            json.push_str("\n      },\n");
-        }
         if let Some(frac) = r.profiler_overhead_frac {
             let _ = write!(json, "      \"profiler_overhead_frac\": ");
             ems_obs::json::write_f64(&mut json, frac);
             json.push_str(",\n");
         }
-        if let Some(s) = &r.session {
-            let _ = writeln!(json, "      \"session_cold_wall_ms\": {:.3},", s.cold_ms);
-            let _ = writeln!(
-                json,
-                "      \"session_cached_wall_ms\": {:.3},",
-                s.cached_ms
-            );
-            let _ = writeln!(json, "      \"session_warm_wall_ms\": {:.3},", s.warm_ms);
-            let _ = writeln!(json, "      \"session_disk_wall_ms\": {:.3},", s.disk_ms);
-        }
+        let s = &r.session;
+        let _ = writeln!(json, "      \"session_cold_wall_ms\": {:.3},", s.cold_ms);
+        let _ = writeln!(
+            json,
+            "      \"session_cached_wall_ms\": {:.3},",
+            s.cached_ms
+        );
+        let _ = writeln!(json, "      \"session_warm_wall_ms\": {:.3},", s.warm_ms);
+        let _ = writeln!(json, "      \"session_disk_wall_ms\": {:.3},", s.disk_ms);
         json.push_str("      \"convergence\": [\n");
         for (j, it) in r.convergence.iter().enumerate() {
             let _ = write!(

@@ -49,12 +49,6 @@ MATCH OPTIONS:
   --threads <N>     worker threads for the fixpoint iteration; 0 = all
                     available cores (default), 1 = serial. Results are
                     bit-identical for every value
-  --sparse-delta <D> δ-thresholded sparse similarity: after the warm-up the
-                    kernel walks a CSR of the previous iterate. D=0 is exact
-                    (bit-identical, lower memory); D>0 drops pairs provably
-                    below D, with error bounded by D/(1-alpha*c)
-  --sparse-warmup <N> exact iterations before sparsification engages
-                    (default 2; only meaningful with --sparse-delta)
   --trace <FILE>    write a JSONL run trace (per-iteration convergence,
                     phases, events; schema ems-trace/1) — render it with
                     `ems report`
@@ -226,8 +220,6 @@ pub struct MatchArgs {
     pub recover: bool,
     pub budget: Option<Budget>,
     pub threads: usize,
-    pub sparse_delta: Option<f64>,
-    pub sparse_warmup: usize,
     pub trace: Option<String>,
     pub metrics: Option<String>,
     pub store: Option<String>,
@@ -423,8 +415,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 recover: false,
                 budget: None,
                 threads: 0,
-                sparse_delta: None,
-                sparse_warmup: 2,
                 trace: None,
                 metrics: None,
                 store: None,
@@ -462,21 +452,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         args.threads = value("--threads")?
                             .parse()
                             .map_err(|_| "--threads needs a non-negative integer".to_owned())?
-                    }
-                    "--sparse-delta" => {
-                        let raw = value("--sparse-delta")?;
-                        let d: f64 = raw
-                            .parse()
-                            .map_err(|_| format!("`{raw}` is not a number"))?;
-                        if !(d.is_finite() && (0.0..1.0).contains(&d)) {
-                            return Err(format!("--sparse-delta must be in [0,1), got `{raw}`"));
-                        }
-                        args.sparse_delta = Some(d);
-                    }
-                    "--sparse-warmup" => {
-                        args.sparse_warmup = value("--sparse-warmup")?.parse().map_err(|_| {
-                            "--sparse-warmup needs a non-negative integer".to_owned()
-                        })?
                     }
                     "--trace" => args.trace = Some(value("--trace")?.to_owned()),
                     "--metrics" => args.metrics = Some(value("--metrics")?.to_owned()),
@@ -738,45 +713,6 @@ mod tests {
         }
         assert!(parse(&sv(&["match", "a", "b", "--threads", "-1"])).is_err());
         assert!(parse(&sv(&["match", "a", "b", "--threads"])).is_err());
-    }
-
-    #[test]
-    fn parses_sparse_options() {
-        match parse(&sv(&[
-            "match",
-            "a.xes",
-            "b.xes",
-            "--sparse-delta",
-            "0.01",
-            "--sparse-warmup",
-            "3",
-        ]))
-        .unwrap()
-        {
-            Command::Match(m) => {
-                assert_eq!(m.sparse_delta, Some(0.01));
-                assert_eq!(m.sparse_warmup, 3);
-            }
-            c => panic!("unexpected {c:?}"),
-        }
-        // δ = 0 is the exact CSR mode; the default leaves sparsity off.
-        match parse(&sv(&["match", "a.xes", "b.xes", "--sparse-delta", "0"])).unwrap() {
-            Command::Match(m) => {
-                assert_eq!(m.sparse_delta, Some(0.0));
-                assert_eq!(m.sparse_warmup, 2);
-            }
-            c => panic!("unexpected {c:?}"),
-        }
-        match parse(&sv(&["match", "a.xes", "b.xes"])).unwrap() {
-            Command::Match(m) => assert_eq!(m.sparse_delta, None),
-            c => panic!("unexpected {c:?}"),
-        }
-        // δ must be a finite number in [0,1).
-        assert!(parse(&sv(&["match", "a", "b", "--sparse-delta", "1.0"])).is_err());
-        assert!(parse(&sv(&["match", "a", "b", "--sparse-delta", "-0.1"])).is_err());
-        assert!(parse(&sv(&["match", "a", "b", "--sparse-delta", "nope"])).is_err());
-        assert!(parse(&sv(&["match", "a", "b", "--sparse-delta"])).is_err());
-        assert!(parse(&sv(&["match", "a", "b", "--sparse-warmup", "-1"])).is_err());
     }
 
     #[test]

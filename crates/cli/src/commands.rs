@@ -335,8 +335,6 @@ fn do_match(args: &MatchArgs) -> Result<(), EmsError> {
         },
         c: args.c,
         threads: args.threads,
-        sparse_delta: args.sparse_delta,
-        sparse_warmup: args.sparse_warmup,
         ..EmsParams::default()
     };
     if let Some(i) = args.estimate {
@@ -505,8 +503,6 @@ mod tests {
             recover: false,
             budget: None,
             threads: 0,
-            sparse_delta: None,
-            sparse_warmup: 2,
             quiet: true,
             trace: None,
             metrics: None,
@@ -537,8 +533,6 @@ mod tests {
             recover: false,
             budget: None,
             threads: 0,
-            sparse_delta: None,
-            sparse_warmup: 2,
             quiet: true,
             trace: None,
             metrics: None,
@@ -569,8 +563,6 @@ mod tests {
             recover: false,
             budget: None,
             threads: 0,
-            sparse_delta: None,
-            sparse_warmup: 2,
             quiet: true,
             trace: Some(trace_path.clone()),
             metrics: Some(metrics_path.clone()),
@@ -637,8 +629,6 @@ mod tests {
                 ..Default::default()
             }),
             threads: 0,
-            sparse_delta: None,
-            sparse_warmup: 2,
             quiet: true,
             trace: None,
             metrics: None,
@@ -775,8 +765,6 @@ mod tests {
             recover: false,
             budget: None,
             threads: 0,
-            sparse_delta: None,
-            sparse_warmup: 2,
             quiet: true,
             trace: None,
             metrics: None,

@@ -28,7 +28,6 @@ use crate::kernel::{
 use crate::numeric::NeumaierSum;
 use crate::params::{Direction, EmsParams};
 use crate::sim::SimMatrix;
-use crate::sim_sparse::SparseSim;
 use crate::substrate::EngineSubstrate;
 use ems_depgraph::{DependencyGraph, Distance, NodeId};
 use ems_labels::LabelMatrix;
@@ -61,14 +60,8 @@ struct PoolState {
     work: Vec<ActivePair>,
     /// Dense-substrate buffers (the evaluation input when `use_dense`).
     scratch: DenseScratch,
-    /// Transposed `prev` for the sparse path (when `!use_dense` and no
-    /// CSR substrate was built).
+    /// Transposed `prev` for the per-pair path (when `!use_dense`).
     prev_t: Vec<f64>,
-    /// CSR of the transposed `prev` — the post-warm-up substrate of
-    /// δ-sparsified runs ([`EmsParams::sparse_delta`]). Always built at
-    /// `δ = 0` from the already-sparsified `current`, so reading it is
-    /// bit-identical to reading the dense transpose.
-    csr: Option<SparseSim>,
     /// Which evaluation substrate this iteration's shards read.
     use_dense: bool,
     /// Shard layout of the current evaluation window.
@@ -79,17 +72,16 @@ struct PoolState {
 /// Deterministic per-run histogram accumulator, shared by both kernels so
 /// the emitted record sequence is identical across them.
 ///
-/// The three deterministic histograms are derived from the same quantities
-/// the per-iteration [`IterationRecord`]s carry (max delta, worklist size,
-/// δ-dropped pairs) — bit-identical across the reference kernel, the
-/// serial worklist kernel, and every pooled thread count. `shard_pairs`
-/// tallies the evaluation shards *as actually executed* and therefore
-/// depends on the thread count; it is classified non-deterministic, so
-/// redacted exports zero its contents while keeping the record in place.
+/// The two deterministic histograms are derived from the same quantities
+/// the per-iteration [`IterationRecord`]s carry (max delta, worklist
+/// size) — bit-identical across the reference kernel, the serial worklist
+/// kernel, and every pooled thread count. `shard_pairs` tallies the
+/// evaluation shards *as actually executed* and therefore depends on the
+/// thread count; it is classified non-deterministic, so redacted exports
+/// zero its contents while keeping the record in place.
 struct RunProfile {
     iteration_delta: Histogram,
     active_pairs: Histogram,
-    sparse_dropped: Histogram,
     shard_pairs: Histogram,
 }
 
@@ -98,7 +90,6 @@ impl RunProfile {
         RunProfile {
             iteration_delta: Histogram::new("engine.iteration_delta", attrs.clone(), "q32"),
             active_pairs: Histogram::new("engine.active_pairs", attrs.clone(), "pairs"),
-            sparse_dropped: Histogram::new("engine.sparse_dropped", attrs.clone(), "pairs"),
             shard_pairs: Histogram::nondeterministic("engine.shard_pairs", attrs, "pairs"),
         }
     }
@@ -110,11 +101,6 @@ impl RunProfile {
         self.active_pairs.observe(active_pairs as u64);
     }
 
-    /// One δ-sparsification pass: how many pairs it dropped.
-    fn observe_drop(&mut self, dropped: u64) {
-        self.sparse_dropped.observe(dropped);
-    }
-
     /// One evaluation shard as scheduled: the pairs it covered.
     fn observe_shard(&mut self, pairs: u64) {
         self.shard_pairs.observe(pairs);
@@ -123,7 +109,6 @@ impl RunProfile {
     fn emit(self, rec: &Recorder) {
         self.iteration_delta.record_into(rec);
         self.active_pairs.record_into(rec);
-        self.sparse_dropped.record_into(rec);
         self.shard_pairs.record_into(rec);
     }
 }
@@ -175,8 +160,6 @@ fn eval_shard(
     let end = (start + st.chunk_size).min(st.work.len());
     let eval = if st.use_dense {
         st.scratch.as_eval()
-    } else if let Some(csr) = &st.csr {
-        PairEval::Csr { prev_t: csr }
     } else {
         PairEval::Sparse { prev_t: &st.prev_t }
     };
@@ -649,8 +632,8 @@ impl<'a> Engine<'a> {
         let mut exhausted = false;
         // Per-iteration evaluation substrates (see the `kernel` module
         // docs): dense inner-maxima tables while the worklist covers most
-        // of the grid, a transposed `prev` copy for the sparse per-pair
-        // path once retirement has thinned it. Buffers are allocated
+        // of the grid, a transposed `prev` copy for the per-pair path
+        // once retirement has thinned it. Buffers are allocated
         // lazily and reused across iterations.
         // The dense fill's branchless bit-pattern max requires every
         // operand non-negative and finite (and not `-0.0`); iterated
@@ -694,7 +677,6 @@ impl<'a> Engine<'a> {
             work,
             scratch: scratch_taken,
             prev_t: Vec::new(),
-            csr: None,
             use_dense: false,
             chunk_size: 0,
             shards: 1,
@@ -742,53 +724,6 @@ impl<'a> Engine<'a> {
                         break;
                     }
                     let mut st = state.write().unwrap_or_else(|e| e.into_inner());
-                    if let Some(dlt) = p.sparse_delta {
-                        if dlt > 0.0 && i > p.sparse_warmup {
-                            // δ-sparsification (post-warm-up): drop pairs
-                            // whose score *and* Proposition-2 upper bound
-                            // are both below δ to an exact zero and retire
-                            // them. A dropped pair under-reports by < δ;
-                            // one fixpoint step propagates at most α·c of
-                            // a neighbor's error, so any score's
-                            // steady-state error is bounded by δ/(1−α·c)
-                            // (see the sparse-similarity module docs). The
-                            // zero is synced into both Jacobi buffers and
-                            // contributes nothing to the abort average —
-                            // exactly its new fixed value.
-                            let mut drop_scope =
-                                profiler.as_ref().map(|pf| pf.scope("sparse_drop"));
-                            let stm = &mut *st;
-                            let before = stm.work.len();
-                            let cur_data = stm.current.data_mut();
-                            let next_data = next.data_mut();
-                            let mut remaining_min = H_INFINITE;
-                            stm.work.retain(|ap| {
-                                let k = ap.k as usize;
-                                let v = cur_data[k];
-                                if v < dlt
-                                    && pair_upper_bound(v, i - 1, distance_of(ap.h), alpha, p.c)
-                                        < dlt
-                                {
-                                    cur_data[k] = 0.0;
-                                    next_data[k] = 0.0;
-                                    false
-                                } else {
-                                    remaining_min = remaining_min.min(ap.h);
-                                    true
-                                }
-                            });
-                            min_h = remaining_min;
-                            let dropped = (before - stm.work.len()) as u64;
-                            stats.sparsified_pairs += dropped;
-                            if let Some(pr) = profile.as_mut() {
-                                pr.observe_drop(dropped);
-                            }
-                            if let Some(mut s) = drop_scope.take() {
-                                s.count("dropped", dropped);
-                                s.count("remaining", stm.work.len() as u64);
-                            }
-                        }
-                    }
                     let i_h = u32::try_from(i).unwrap_or(H_INFINITE);
                     if p.pruning && min_h < i_h {
                         // Retire pairs past their horizon. Both buffers
@@ -826,30 +761,17 @@ impl<'a> Engine<'a> {
                     // fraction of the grid.
                     {
                         let stm = &mut *st;
-                        let sparse_mode = p.sparse_delta.is_some() && i > p.sparse_warmup;
-                        if sparse_mode {
-                            // Post-warm-up CSR substrate: the dropped
-                            // pairs are exact zeros in `current`, so the
-                            // δ=0 build is a lossless compression — the
-                            // evaluation stays bit-identical to the dense
-                            // transpose while the working set shrinks to
-                            // O(nnz).
-                            let csr = SparseSim::from_dense_transposed(&stm.current, 0.0);
-                            stm.csr = Some(csr);
-                            stm.use_dense = false;
-                        } else if dense_available && stm.work.len() * 4 >= n1 * n2 {
+                        if dense_available && stm.work.len() * 4 >= n1 * n2 {
                             if prev_known_zero {
                                 ctx.dense_fill_zero(&mut stm.scratch);
                             } else {
                                 ctx.dense_fill(stm.current.data(), &mut stm.scratch);
                             }
                             stm.use_dense = true;
-                            stm.csr = None;
                         } else {
                             stm.prev_t.resize(n1 * n2, 0.0);
                             transpose_into(stm.current.data(), n1, n2, &mut stm.prev_t);
                             stm.use_dense = false;
-                            stm.csr = None;
                         }
                         // Size-aware shard granularity: never split below
                         // the pairs-per-shard floor.

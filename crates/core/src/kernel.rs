@@ -46,7 +46,6 @@
 //! bit-identical order regardless of substrate or sharding, so results are
 //! bit-identical for every thread count and density threshold.
 
-use crate::sim_sparse::SparseSim;
 use crate::stats::ThreadClamp;
 use ems_depgraph::{NeighborCsr, ARTIFICIAL_ENTRY};
 use ems_labels::LabelMatrix;
@@ -212,15 +211,6 @@ pub(crate) enum PairEval<'a> {
         t21: &'a [f64],
         /// See [`DenseScratch::zero`].
         zero: bool,
-    },
-    /// Per-pair scans with the swapped orientation reading a CSR of the
-    /// transposed previous matrix instead of a dense transpose. Built at
-    /// `δ = 0` from the (already-sparsified) `prev`, absent entries are
-    /// exact `+0.0` — values the `s_prev <= best` guard skips in every
-    /// substrate — so this path is bit-identical to the others.
-    Csr {
-        /// CSR of the previous matrix's transpose (`n2` rows, `n1` cols).
-        prev_t: &'a SparseSim,
     },
 }
 
@@ -578,13 +568,6 @@ impl PairContext {
                 self.one_side_dense(t12, t21, v1, v2, false),
                 self.one_side_dense(t12, t21, v1, v2, true),
             ),
-            // The plain orientation never touches the transpose (see
-            // `one_side_sparse`), so it runs unchanged against the dense
-            // `prev`; only the swapped orientation goes through the CSR.
-            PairEval::Csr { prev_t } => (
-                self.one_side_sparse(prev, &[], v1, v2, false),
-                self.one_side_csr(prev_t, v1, v2),
-            ),
         };
         let value = alpha * (s12 + s21) / 2.0 + (1.0 - alpha) * label;
         value.clamp(0.0, 1.0)
@@ -844,75 +827,6 @@ impl PairContext {
         }
         sum / entries.len() as f64
     }
-
-    /// The swapped orientation `s(v2, v1)` against a CSR of the transposed
-    /// previous matrix. Mirrors `one_side_sparse` with `swap = true`,
-    /// fetching each `S_prev` by binary search in the outer node's CSR row
-    /// instead of a dense stride-1 gather. Absent entries read as exact
-    /// `+0.0`, which the `s_prev <= best` guard skips (`best` starts at
-    /// `0.0` and never decreases) just as it skips stored zeros — so the
-    /// sequence of `best` updates, and hence every floating-point result,
-    /// is identical to the dense-transpose scan over the same matrix.
-    fn one_side_csr(&self, prev_t: &SparseSim, v1: usize, v2: usize) -> f64 {
-        let (co, ci) = (&self.csr2, &self.csr1);
-        let entries = co.entries(v2);
-        if entries.is_empty() {
-            return 0.0;
-        }
-        let art_best = self.art_best(v1, v2);
-        let inner = ci.lane_range(v1);
-        let inner_src = &ci.lane_src()[inner.clone()];
-        let inner_cls = &self.cls1[inner.clone()];
-        let inner_freq = &ci.lane_freq()[inner.clone()];
-        let table = self.compat21.as_deref();
-        let mut sum = 0.0;
-        for &ent in entries {
-            let best = if ent == ARTIFICIAL_ENTRY {
-                art_best
-            } else {
-                let lane = ent as usize;
-                let (row_cols, row_vals) = prev_t.row(co.lane_src()[lane] as usize);
-                let fetch = |src: u32| match row_cols.binary_search(&src) {
-                    Ok(i) => row_vals[i],
-                    Err(_) => 0.0,
-                };
-                let mut best = 0.0_f64;
-                match table {
-                    Some(t) => {
-                        let c_row = &t[self.cls2[lane] as usize * self.nc1..][..self.nc1];
-                        for (&cl, &src) in inner_cls.iter().zip(inner_src) {
-                            let s_prev = fetch(src);
-                            if s_prev <= best {
-                                // C < 1, so C * s_prev < s_prev ≤ best.
-                                continue;
-                            }
-                            let cand = c_row[cl as usize] * s_prev;
-                            if cand > best {
-                                best = cand;
-                            }
-                        }
-                    }
-                    None => {
-                        let f_o = co.lane_freq()[lane];
-                        for (&f_i, &src) in inner_freq.iter().zip(inner_src) {
-                            let s_prev = fetch(src);
-                            if s_prev <= best {
-                                continue;
-                            }
-                            let cand = compat(self.c, f_o, f_i) * s_prev;
-                            if cand > best {
-                                best = cand;
-                            }
-                        }
-                    }
-                }
-                best
-            };
-            // ems-lint: allow(float-taint, must stay bitwise identical to the reference oracle; O(deg) bounded terms in [0,1])
-            sum += best;
-        }
-        sum / entries.len() as f64
-    }
 }
 
 /// Evaluates one worklist chunk against `prev` through the given
@@ -1051,23 +965,14 @@ mod tests {
             t21: &scratch.t21,
             zero: false,
         };
-        let prev_mat = crate::sim::SimMatrix::from_raw(3, 2, prev.to_vec());
-        let prev_t_csr = SparseSim::from_dense_transposed(&prev_mat, 0.0);
-        let csr = PairEval::Csr {
-            prev_t: &prev_t_csr,
-        };
         for v1 in 0..3 {
             for v2 in 0..2 {
                 let label = labels.get(v1, v2);
                 let a = with.eval_pair(&prev, &sparse, v1, v2, 1.0, label);
                 let b = without.eval_pair(&prev, &sparse, v1, v2, 1.0, label);
                 let c = with.eval_pair(&prev, &dense, v1, v2, 1.0, label);
-                let d = with.eval_pair(&prev, &csr, v1, v2, 1.0, label);
-                let e = without.eval_pair(&prev, &csr, v1, v2, 1.0, label);
                 assert_eq!(a.to_bits(), b.to_bits(), "sparse paths at ({v1},{v2})");
                 assert_eq!(a.to_bits(), c.to_bits(), "dense path at ({v1},{v2})");
-                assert_eq!(a.to_bits(), d.to_bits(), "csr path at ({v1},{v2})");
-                assert_eq!(a.to_bits(), e.to_bits(), "csr fallback at ({v1},{v2})");
             }
         }
     }

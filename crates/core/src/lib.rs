@@ -68,7 +68,6 @@ mod params;
 pub mod persist;
 pub mod session;
 mod sim;
-mod sim_sparse;
 mod stats;
 pub mod substrate;
 
@@ -78,5 +77,4 @@ pub use matcher::{Ems, MatchOutcome};
 pub use params::{Aggregation, Direction, EmsParams, LabelMeasure, LabelSpace};
 pub use session::{LogHandle, MatchSession, SessionOptions, SessionStats, SharedSession};
 pub use sim::SimMatrix;
-pub use sim_sparse::{CsrError, SparseSim};
 pub use substrate::EngineSubstrate;

@@ -128,19 +128,6 @@ pub struct EmsParams {
     /// bit-identical for every value — the knob trades wall-clock time
     /// only. Overridable per run via `RunOptions::threads`.
     pub threads: usize,
-    /// δ-thresholded sparsification. `None` keeps the dense substrates
-    /// throughout. `Some(0.0)` is the **exact** sparse mode: after
-    /// [`EmsParams::sparse_warmup`] iterations the kernel evaluates
-    /// through a CSR of the previous matrix — bit-identical results at
-    /// lower memory. `Some(δ)` with `δ > 0` additionally drops pairs
-    /// whose score *and* Proposition-2 upper bound are below `δ` to an
-    /// exact zero; any score's steady-state error is then bounded by
-    /// `δ / (1 − α·c)` (see the sparse-similarity module docs).
-    pub sparse_delta: Option<f64>,
-    /// Exact warm-up iterations before sparsification engages — lets
-    /// genuinely similar pairs rise above `δ` before the drop test runs.
-    /// Ignored unless [`EmsParams::sparse_delta`] is set.
-    pub sparse_warmup: usize,
 }
 
 impl EmsParams {
@@ -202,14 +189,6 @@ impl EmsParams {
         self
     }
 
-    /// Enables δ-thresholded sparsification after `warmup` exact
-    /// iterations (`delta = 0.0` is the exact CSR mode).
-    pub fn with_sparse(mut self, delta: f64, warmup: usize) -> Self {
-        self.sparse_delta = Some(delta);
-        self.sparse_warmup = warmup;
-        self
-    }
-
     /// Validates the parameter ranges, returning a description of the first
     /// violation.
     pub fn validate(&self) -> Result<(), String> {
@@ -224,11 +203,6 @@ impl EmsParams {
         }
         if self.max_iterations == 0 {
             return Err("max_iterations must be at least 1".into());
-        }
-        if let Some(d) = self.sparse_delta {
-            if !(d.is_finite() && (0.0..1.0).contains(&d)) {
-                return Err(format!("sparse_delta must be in [0,1), got {d}"));
-            }
         }
         self.aggregation.validate()?;
         Ok(())
@@ -247,8 +221,6 @@ impl Default for EmsParams {
             aggregation: Aggregation::Average,
             label_measure: LabelMeasure::default(),
             threads: 0,
-            sparse_delta: None,
-            sparse_warmup: 2,
         }
     }
 }
@@ -310,24 +282,10 @@ mod tests {
             },
             EmsParams {
                 max_iterations: 0,
-                ..base.clone()
-            },
-            EmsParams {
-                sparse_delta: Some(1.0),
-                ..base.clone()
-            },
-            EmsParams {
-                sparse_delta: Some(-0.1),
-                ..base.clone()
-            },
-            EmsParams {
-                sparse_delta: Some(f64::NAN),
                 ..base
             },
         ] {
             assert!(p.validate().is_err());
         }
-        assert!(EmsParams::default().with_sparse(0.0, 0).validate().is_ok());
-        assert!(EmsParams::default().with_sparse(0.01, 3).validate().is_ok());
     }
 }

@@ -20,7 +20,6 @@
 
 use crate::error::CoreError;
 use crate::params::{Direction, LabelSpace};
-use crate::sim_sparse::SparseSim;
 use crate::substrate::EngineSubstrate;
 use ems_depgraph::{CsrParts, DependencyGraph, Distance, GraphSketch, NeighborCsr, VertexProfile};
 use ems_events::{EventId, EventLog, Fnv1a, SymbolTable, Trace};
@@ -34,8 +33,6 @@ pub const GRAPH_PAYLOAD_VERSION: u32 = 1;
 pub const SUBSTRATE_PAYLOAD_VERSION: u32 = 1;
 /// Version of the label-matrix payload codec.
 pub const LABELS_PAYLOAD_VERSION: u32 = 1;
-/// Version of the sparse-similarity payload codec.
-pub const SPARSE_SIM_PAYLOAD_VERSION: u32 = 1;
 /// Version of the graph-sketch payload codec. Version 2 added the exact
 /// sorted label-hash set backing the sketch-level label bound.
 pub const SKETCH_PAYLOAD_VERSION: u32 = 2;
@@ -88,17 +85,6 @@ pub fn labels_store_key(log_fingerprint1: u64, log_fingerprint2: u64, space: Lab
     h.write_u64(log_fingerprint1);
     h.write_u64(log_fingerprint2);
     h.write(&[space.tag()]);
-    h.finish()
-}
-
-/// Store key of a converged similarity prior: both log fingerprints.
-/// Orientation matters (`prior(a, b) ≠ prior(b, a)`), so the fingerprints
-/// are hashed in order.
-pub fn prior_store_key(log_fingerprint1: u64, log_fingerprint2: u64) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(b"prior");
-    h.write_u64(log_fingerprint1);
-    h.write_u64(log_fingerprint2);
     h.finish()
 }
 
@@ -527,48 +513,6 @@ pub fn decode_labels(bytes: &[u8]) -> Result<LabelMatrix, CoreError> {
 }
 
 // ---------------------------------------------------------------------
-// Sparse similarity matrices
-// ---------------------------------------------------------------------
-
-/// Encodes a sparse similarity matrix: shape plus raw CSR columns. Values
-/// travel as IEEE-754 bit patterns, so a δ=0 snapshot of a converged
-/// matrix rehydrates bit-identically.
-pub fn encode_sparse_sim(m: &SparseSim) -> Vec<u8> {
-    let (rows, cols, row_off, col_idx, vals) = m.parts();
-    let mut out = Vec::new();
-    put_len(&mut out, rows);
-    put_len(&mut out, cols);
-    put_len(&mut out, row_off.len());
-    for &o in row_off {
-        put_u64(&mut out, o as u64);
-    }
-    put_u32_slice(&mut out, col_idx);
-    put_f64_slice(&mut out, vals);
-    out
-}
-
-/// Decodes a sparse similarity matrix, re-validating every CSR invariant
-/// (offset monotonicity, column bounds and per-row ordering) — a corrupted
-/// payload is rejected, never served.
-pub fn decode_sparse_sim(bytes: &[u8]) -> Result<SparseSim, CoreError> {
-    let mut r = Reader::new(bytes);
-    let rows = r.len(1)?;
-    let cols = r.len(1)?;
-    let off_len = r.len(8)?;
-    let mut row_off = Vec::with_capacity(off_len);
-    for _ in 0..off_len {
-        let o = r.u64()?;
-        let o = usize::try_from(o).map_err(|_| decode_err(format!("offset {o} overflows")))?;
-        row_off.push(o);
-    }
-    let col_idx = r.u32_vec()?;
-    let vals = r.f64_vec()?;
-    r.finish()?;
-    SparseSim::from_parts(rows, cols, row_off, col_idx, vals)
-        .map_err(|e| decode_err(format!("sparse similarity CSR rejected: {e}")))
-}
-
-// ---------------------------------------------------------------------
 // Graph sketches
 // ---------------------------------------------------------------------
 
@@ -649,7 +593,6 @@ pub fn decode_sketch(bytes: &[u8]) -> Result<GraphSketch, CoreError> {
 mod tests {
     use super::*;
     use crate::params::EmsParams;
-    use crate::sim::SimMatrix;
     use ems_events::fingerprint_log;
 
     fn sample_log() -> EventLog {
@@ -766,50 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_sim_round_trips_bit_identically() {
-        let dense = SimMatrix::from_raw(
-            3,
-            4,
-            vec![
-                0.9, 0.0, 0.004, 0.5, //
-                0.0, 0.02, 0.0, 0.0, //
-                0.1, 0.0, 0.0, 0.7,
-            ],
-        );
-        for delta in [0.0, 0.05] {
-            let sparse = SparseSim::from_dense(&dense, delta);
-            let bytes = encode_sparse_sim(&sparse);
-            let decoded = decode_sparse_sim(&bytes).unwrap();
-            assert_eq!(decoded, sparse);
-            assert_eq!(encode_sparse_sim(&decoded), bytes);
-        }
-        // δ=0 survives the full dense → sparse → bytes → sparse → dense
-        // trip bit-for-bit.
-        let back = decode_sparse_sim(&encode_sparse_sim(&SparseSim::from_dense(&dense, 0.0)))
-            .unwrap()
-            .to_dense();
-        for (a, b) in dense.data().iter().zip(back.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn sparse_sim_decode_rejects_corruption() {
-        let dense = SimMatrix::from_raw(2, 2, vec![0.5, 0.0, 0.25, 1.0]);
-        let bytes = encode_sparse_sim(&SparseSim::from_dense(&dense, 0.0));
-        for n in 0..bytes.len() {
-            assert!(decode_sparse_sim(&bytes[..n]).is_err());
-        }
-        // Flip a column id out of range: CSR validation must catch it.
-        let mut bad = bytes.clone();
-        // Layout: rows u64, cols u64, off_len u64, 3 offsets, col-idx len
-        // u64, then the first u32 column id.
-        let col0 = 8 * 6 + 8;
-        bad[col0] = 0xEE;
-        assert!(decode_sparse_sim(&bad).is_err());
-    }
-
-    #[test]
     fn sketch_round_trips_and_rejects_corruption() {
         let g = DependencyGraph::from_log(&sample_log());
         let sketch = GraphSketch::of(&g);
@@ -839,8 +738,6 @@ mod tests {
             labels_store_key(1, 2, LabelSpace::QgramCosine),
             labels_store_key(1, 2, LabelSpace::ExactName),
             labels_store_key(1, 2, LabelSpace::Structural),
-            prior_store_key(1, 2),
-            prior_store_key(2, 1),
             sketch_store_key(1),
             sketch_store_key(2),
         ];

@@ -115,7 +115,7 @@ use crate::error::CoreError;
 use crate::matcher::{aggregate_directions, label_matrix_for, MatchOutcome};
 use crate::params::{Direction, EmsParams};
 use crate::persist;
-use crate::sim_sparse::SparseSim;
+use crate::sim::SimMatrix;
 use crate::substrate::EngineSubstrate;
 use ems_depgraph::{filter_min_frequency, observe_graph, DependencyGraph};
 use ems_error::EmsError;
@@ -280,20 +280,19 @@ fn side_labels(pairs: &[(&str, &str)], side: Option<&str>) -> Labels {
 }
 
 /// The previous fixpoint of one handle pair — the warm-start source.
-/// Held as δ=0 sparse matrices: converged similarity matrices are mostly
-/// zeros, and the lossless compression re-expands bit-identically when
-/// the seed is built ([`SparseSim::to_dense`]).
+/// Held as dense copies: in a converged similarity matrix nearly every
+/// pair scores above zero, so a sparse form would cost more, not less.
 #[derive(Debug)]
 struct Prior {
-    forward: SparseSim,
-    backward: SparseSim,
+    forward: SimMatrix,
+    backward: SimMatrix,
 }
 
 impl Prior {
     fn of(outcome: &MatchOutcome) -> Self {
         Prior {
-            forward: SparseSim::from_dense(&outcome.forward, 0.0),
-            backward: SparseSim::from_dense(&outcome.backward, 0.0),
+            forward: outcome.forward.clone(),
+            backward: outcome.backward.clone(),
         }
     }
 
@@ -308,11 +307,11 @@ impl Prior {
         let unfrozen = vec![false; n1 * n2];
         Some((
             Seed {
-                values: self.forward.to_dense(),
+                values: self.forward.clone(),
                 frozen: unfrozen.clone(),
             },
             Seed {
-                values: self.backward.to_dense(),
+                values: self.backward.clone(),
                 frozen: unfrozen,
             },
         ))

@@ -177,10 +177,6 @@ pub struct RunStats {
     pub frozen_evals: u64,
     /// Pairs whose final value came from the closed-form estimation.
     pub estimated_pairs: u64,
-    /// Pairs dropped to zero by δ-thresholded sparsification
-    /// ([`crate::EmsParams::sparse_delta`]); `0` when sparsification is
-    /// disabled or never fired.
-    pub sparsified_pairs: u64,
     /// Largest shard count any iteration's evaluation used — `1` for a
     /// fully serial run, up to the resolved thread count when the
     /// worklist stayed above the pairs-per-shard floor. Pool-utilization
@@ -211,7 +207,6 @@ impl RunStats {
         self.pruned_evals += other.pruned_evals;
         self.frozen_evals += other.frozen_evals;
         self.estimated_pairs += other.estimated_pairs;
-        self.sparsified_pairs += other.sparsified_pairs;
         self.pool_shards = self.pool_shards.max(other.pool_shards);
         self.aborted |= other.aborted;
         self.degraded |= other.degraded;

@@ -345,6 +345,13 @@ fn concurrent_mixed_pairs_through_a_stored_session_are_bit_identical() {
     let stats = shared.stats();
     assert!(stats.outcome_cache_hits <= ((THREADS - 1) * pairs.len()) as u64);
     assert!(stats.graph_builds >= logs.len() as u64);
+    // Racing puts of one key write distinct temp files, so none of them
+    // fails and no reader ever sees a torn image at the final path.
+    assert_eq!(stats.store_write_failures, 0, "store write failures");
+    assert_eq!(stats.store_quarantines, 0, "store quarantines");
+    let store_stats = store.stats();
+    assert_eq!(store_stats.write_failures, 0, "store write failures");
+    assert_eq!(store_stats.quarantined, 0, "store quarantines");
 
     let fresh = SharedSession::try_new(exact_params())
         .unwrap()

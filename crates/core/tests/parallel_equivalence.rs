@@ -4,11 +4,13 @@
 //! every thread count must reproduce the serial path bitwise. These are the
 //! guarantees that make the `threads` knob a pure wall-clock trade.
 
-use ems_core::engine::{Budget, Engine, RunOptions, RunStats, Seed};
+use ems_core::engine::{Budget, Engine, RunOptions, RunOutput, RunStats, Seed};
 use ems_core::{Direction, EmsParams, SimMatrix};
 use ems_depgraph::DependencyGraph;
 use ems_labels::LabelMatrix;
+use ems_obs::{jsonl, Record, Recorder};
 use ems_rng::StdRng;
+use std::sync::Arc;
 
 fn random_log(rng: &mut StdRng, alphabet: usize) -> ems_events::EventLog {
     let mut log = ems_events::EventLog::new();
@@ -189,93 +191,12 @@ fn large_grid_parallel_path_is_bit_identical() {
     assert!(serial.stats.iterations > 0);
 }
 
-/// δ = 0 sparse mode is *exact*: across random graphs, parameters and
-/// warm-up counts, evaluating through the CSR substrate reproduces the
-/// dense kernel bitwise — at one thread and through the worker pool.
-#[test]
-#[cfg_attr(miri, ignore)] // 40 random fixpoint cases: minutes under interpretation
-fn sparse_exact_mode_is_bit_identical_across_threads() {
-    let mut rng = StdRng::seed_from_u64(0xD04);
-    for case in 0..40 {
-        let (g1, g2) = random_graph_pair(&mut rng);
-        let labels = LabelMatrix::zeros(g1.num_real(), g2.num_real());
-        let dense_params = random_params(&mut rng);
-        let warmup = rng.gen_range(0..3usize);
-        let sparse_params = dense_params.clone().with_sparse(0.0, warmup);
-        let direction = if rng.gen_bool(0.5) {
-            Direction::Forward
-        } else {
-            Direction::Backward
-        };
-        let dense = Engine::new(&g1, &g2, &labels, &dense_params, direction).run(&RunOptions {
-            threads: Some(1),
-            ..RunOptions::default()
-        });
-        let sparse_engine = Engine::new(&g1, &g2, &labels, &sparse_params, direction);
-        for threads in [1usize, 4] {
-            let sparse = sparse_engine.run(&RunOptions {
-                threads: Some(threads),
-                oversubscribe: true,
-                ..RunOptions::default()
-            });
-            let what = format!("case {case}, warmup {warmup}, {threads} threads");
-            assert_bitwise(&dense.sim, &sparse.sim, &what);
-            assert_same_work(&dense.stats, &sparse.stats, &what);
-            // δ = 0 never drops a pair — exactness is structural, not
-            // a lucky threshold.
-            assert_eq!(sparse.stats.sparsified_pairs, 0, "{what}");
-        }
-    }
-}
-
-/// δ > 0 sparse scores differ from the dense kernel by at most the
-/// documented steady-state bound δ / (1 − α·c), across random graphs,
-/// thresholds, warm-ups and thread counts.
-#[test]
-#[cfg_attr(miri, ignore)] // 40 random fixpoint cases: minutes under interpretation
-fn thresholded_sparse_error_is_within_documented_bound() {
-    let mut rng = StdRng::seed_from_u64(0xD05);
-    for case in 0..40 {
-        let (g1, g2) = random_graph_pair(&mut rng);
-        let labels = LabelMatrix::zeros(g1.num_real(), g2.num_real());
-        // Exact solves only: the bound covers the fixpoint iteration, not
-        // the estimation tail.
-        let dense_params = if rng.gen_bool(0.5) {
-            EmsParams::structural()
-        } else {
-            EmsParams::with_labels(0.7)
-        };
-        let delta = [0.01, 0.05, 0.1][rng.gen_range(0..3usize)];
-        let warmup = rng.gen_range(1..4usize);
-        let sparse_params = dense_params.clone().with_sparse(delta, warmup);
-        let bound = delta / (1.0 - dense_params.alpha * dense_params.c);
-        let dense = Engine::new(&g1, &g2, &labels, &dense_params, Direction::Forward)
-            .run(&RunOptions::default());
-        let sparse_engine = Engine::new(&g1, &g2, &labels, &sparse_params, Direction::Forward);
-        for threads in [1usize, 4] {
-            let sparse = sparse_engine.run(&RunOptions {
-                threads: Some(threads),
-                oversubscribe: true,
-                ..RunOptions::default()
-            });
-            for (d, s) in dense.sim.data().iter().zip(sparse.sim.data()) {
-                assert!(
-                    (d - s).abs() <= bound,
-                    "case {case}, δ={delta}, {threads} threads: |{d} - {s}| > {bound}"
-                );
-            }
-        }
-    }
-}
-
-/// The golden-trace contract extends to the new paths: the redacted
-/// telemetry of the δ=0 sparse kernel — serial and through a 4-worker
-/// pool — is byte-identical to the serial dense kernel's trace, and so is
-/// the pooled dense kernel's. Scores are checked bitwise alongside.
+/// The golden-trace contract extends to the worker pool: the redacted
+/// telemetry of a run sharded across a 4-worker pool is byte-identical to
+/// the serial run's trace, and the scores are checked bitwise alongside.
 #[test]
 #[cfg_attr(miri, ignore)] // large-grid thread spawns: minutes under interpretation
-fn golden_trace_is_identical_for_sparse_and_pooled_kernels() {
-    use std::sync::Arc;
+fn golden_trace_is_identical_for_serial_and_pooled_kernels() {
     let mut rng = StdRng::seed_from_u64(0xD06);
     let mut big_log = |alphabet: usize| {
         let mut log = ems_events::EventLog::new();
@@ -292,84 +213,93 @@ fn golden_trace_is_identical_for_sparse_and_pooled_kernels() {
         "grid too small to cross the pairs-per-shard floor"
     );
     let labels = LabelMatrix::zeros(g1.num_real(), g2.num_real());
-    let dense_params = EmsParams::structural();
-    let sparse_params = dense_params.clone().with_sparse(0.0, 1);
-    let dense_engine = Engine::new(&g1, &g2, &labels, &dense_params, Direction::Forward);
-    let sparse_engine = Engine::new(&g1, &g2, &labels, &sparse_params, Direction::Forward);
-    let run_traced = |engine: &Engine, threads: usize| {
-        let rec = Arc::new(ems_obs::Recorder::new());
-        let out = engine.run(&RunOptions {
-            threads: Some(threads),
-            oversubscribe: true,
-            recorder: Some(Arc::clone(&rec)),
-            ..RunOptions::default()
-        });
-        (out, ems_obs::jsonl::write_redacted(&rec.records()))
-    };
-    let (dense1, trace_dense1) = run_traced(&dense_engine, 1);
-    let (dense4, trace_dense4) = run_traced(&dense_engine, 4);
-    let (sparse1, trace_sparse1) = run_traced(&sparse_engine, 1);
-    let (sparse4, trace_sparse4) = run_traced(&sparse_engine, 4);
-    assert_bitwise(&dense1.sim, &dense4.sim, "dense 1 vs 4 threads");
-    assert_bitwise(&dense1.sim, &sparse1.sim, "dense vs sparse serial");
-    assert_bitwise(&dense1.sim, &sparse4.sim, "dense vs sparse 4 threads");
-    assert_eq!(trace_dense1, trace_dense4, "dense trace 1 vs 4 threads");
-    assert_eq!(trace_dense1, trace_sparse1, "dense vs sparse serial trace");
-    assert_eq!(trace_dense1, trace_sparse4, "dense vs sparse pooled trace");
-    assert!(trace_dense1.contains("\"type\":\"iteration\""));
-    // The pooled runs really used the pool.
-    assert!(dense4.stats.pool_shards > 1, "pool never sharded");
+    let params = EmsParams::structural();
+    let engine = Engine::new(&g1, &g2, &labels, &params, Direction::Forward);
+    let (serial, serial_records) = run_traced(&engine, 1);
+    let (pooled, pooled_records) = run_traced(&engine, 4);
+    let trace_serial = jsonl::write_redacted(&serial_records);
+    assert_bitwise(&serial.sim, &pooled.sim, "1 vs 4 threads");
+    assert_eq!(
+        trace_serial,
+        jsonl::write_redacted(&pooled_records),
+        "trace 1 vs 4 threads"
+    );
+    assert!(trace_serial.contains("\"type\":\"iteration\""));
+    // The pooled run really used the pool.
+    assert!(pooled.stats.pool_shards > 1, "pool never sharded");
 }
 
-/// An aggressive δ collapses the worklist *below* the pairs-per-shard
-/// floor mid-run, forcing the pool back onto the serial fast path while
-/// workers are still parked — results must stay bit-identical between 1
-/// and 4 threads through that transition.
+/// Runs `engine` at `threads` workers with a fresh recorder; returns the
+/// output and the recorded telemetry.
+fn run_traced(engine: &Engine<'_>, threads: usize) -> (RunOutput, Vec<Record>) {
+    let rec = Arc::new(Recorder::new());
+    let out = engine.run(&RunOptions {
+        threads: Some(threads),
+        oversubscribe: true,
+        recorder: Some(Arc::clone(&rec)),
+        ..RunOptions::default()
+    });
+    (out, rec.records())
+}
+
+/// Proposition-2 retirement shrinks the worklist *below* the
+/// pairs-per-shard floor mid-run, forcing the pool back onto the serial
+/// fast path while workers are still parked — results, work counters and
+/// telemetry must stay identical between 1 and 4 threads through that
+/// transition.
 #[test]
 #[cfg_attr(miri, ignore)] // large-grid thread spawns: minutes under interpretation
 fn pool_survives_worklist_collapse_mid_run() {
+    // Every trace is an increasing subsequence of one activity order, so
+    // both graphs are acyclic and every pair has a finite horizon
+    // h = min(l(v1), l(v2)): the worklist starts as the whole grid and
+    // iteration i retires the pairs with h < i.
     let mut rng = StdRng::seed_from_u64(0xD07);
-    let mut big_log = |alphabet: usize| {
+    let mut ordered_log = |alphabet: usize| {
         let mut log = ems_events::EventLog::new();
         for _ in 0..40 {
-            let len = rng.gen_range(4..16usize);
-            log.push_trace((0..len).map(|_| format!("a{}", rng.gen_range(0..alphabet))));
+            log.push_trace(
+                (0..alphabet)
+                    .filter(|_| rng.gen_bool(0.8))
+                    .map(|a| format!("a{a}")),
+            );
         }
         log
     };
-    let g1 = DependencyGraph::from_log(&big_log(70));
-    let g2 = DependencyGraph::from_log(&big_log(80));
-    assert!(g1.num_real() * g2.num_real() >= 4096);
+    let g1 = DependencyGraph::from_log(&ordered_log(90));
+    let g2 = DependencyGraph::from_log(&ordered_log(100));
     let labels = LabelMatrix::zeros(g1.num_real(), g2.num_real());
-    // High threshold, early engagement, tight epsilon: the Proposition-2
-    // bound decays below δ around iteration 15 and the drops cascade
-    // (zeroed neighbours pull survivors down), shrinking the worklist
-    // from thousands of pairs to a handful — far below the
-    // pairs-per-shard floor — while the run keeps iterating.
-    let mut params = EmsParams::structural().with_sparse(0.35, 1);
-    params.epsilon = 1e-9;
+    // A tight epsilon keeps the run iterating until retirement has
+    // thinned the worklist to a handful of pairs.
+    let mut params = EmsParams::structural();
+    params.epsilon = 1e-12;
     let engine = Engine::new(&g1, &g2, &labels, &params, Direction::Forward);
-    let serial = engine.run(&RunOptions {
-        threads: Some(1),
-        ..RunOptions::default()
-    });
-    let pooled = engine.run(&RunOptions {
-        threads: Some(4),
-        oversubscribe: true,
-        ..RunOptions::default()
-    });
+    let (serial, serial_records) = run_traced(&engine, 1);
+    let (pooled, pooled_records) = run_traced(&engine, 4);
+
+    // The kernel's pairs-per-shard floor.
+    const FLOOR: usize = 4096;
+    let active: Vec<usize> = serial_records
+        .iter()
+        .filter_map(|r| match r {
+            Record::Iteration(it) => Some(it.active_pairs),
+            _ => None,
+        })
+        .collect();
     assert!(
-        serial.stats.sparsified_pairs as usize > g1.num_real() * g2.num_real() / 2,
-        "threshold never collapsed the worklist; the transition was not exercised"
+        active.first().is_some_and(|&a| a > FLOOR),
+        "the first iteration must shard: {active:?}"
     );
     assert!(
-        serial.sim.data().iter().any(|v| *v > 0.0),
-        "everything sparsified — the surviving-pair path was not exercised"
+        active.iter().any(|&a| a > 0 && a < FLOOR),
+        "retirement never took the worklist under the floor: {active:?}"
     );
+    assert!(pooled.stats.pool_shards > 1, "pool never sharded");
     assert_bitwise(&serial.sim, &pooled.sim, "worklist collapse");
     assert_same_work(&serial.stats, &pooled.stats, "worklist collapse");
     assert_eq!(
-        serial.stats.sparsified_pairs, pooled.stats.sparsified_pairs,
-        "sparsification must be thread-count independent"
+        jsonl::write_redacted(&serial_records),
+        jsonl::write_redacted(&pooled_records),
+        "worklist collapse trace"
     );
 }

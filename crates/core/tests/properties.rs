@@ -8,7 +8,9 @@ use ems_core::engine::{Engine, RunOptions};
 use ems_core::{Direction, Ems, EmsParams, SimMatrix};
 use ems_depgraph::DependencyGraph;
 use ems_labels::LabelMatrix;
+use ems_obs::{Record, Recorder};
 use ems_rng::StdRng;
+use std::sync::Arc;
 
 fn random_traces(rng: &mut StdRng) -> Vec<Vec<usize>> {
     let n = rng.gen_range(1..10usize);
@@ -139,6 +141,78 @@ fn upper_bounds_dominate_the_limit() {
                     v <= bound + 1e-9,
                     "limit {v} exceeds bound {bound} from k={k} at ({i},{j})"
                 );
+            }
+        }
+    }
+}
+
+/// A-posteriori contraction bound: formula (1) is an αc-contraction in
+/// the max norm and iterates from zero rise monotonically (Theorem 1), so
+/// iteration K's max delta Δ_K brackets the limit entrywise:
+/// S^K ≤ S* ≤ S^K + αc/(1−αc)·Δ_K. Checked for α = 1 and for α = 0.5
+/// with a random label matrix, with pruning on and off, in both
+/// directions, for K = 1..12; S* is a run to ε = 1e-13.
+#[test]
+fn contraction_bound_brackets_the_limit() {
+    const SLACK: f64 = 1e-11;
+    let mut rng = StdRng::seed_from_u64(0xC07);
+    for case in 0..24 {
+        let (l1, l2) = random_log_pair(&mut rng);
+        let g1 = DependencyGraph::from_log(&l1);
+        let g2 = DependencyGraph::from_log(&l2);
+        let (n1, n2) = (g1.num_real(), g2.num_real());
+        let random_labels = (0..n1 * n2).map(|_| rng.gen::<f64>()).collect();
+        for (alpha, labels) in [
+            (1.0, LabelMatrix::zeros(n1, n2)),
+            (0.5, LabelMatrix::from_raw(n1, n2, random_labels)),
+        ] {
+            for pruning in [true, false] {
+                for direction in [Direction::Forward, Direction::Backward] {
+                    let params = |max_iterations: usize, epsilon: f64| EmsParams {
+                        pruning,
+                        max_iterations,
+                        epsilon,
+                        ..EmsParams::with_labels(alpha)
+                    };
+                    let limit_params = params(1000, 1e-13);
+                    let limit = Engine::new(&g1, &g2, &labels, &limit_params, direction)
+                        .run(&RunOptions::default())
+                        .sim;
+                    let ac = alpha * limit_params.c;
+                    let factor = ac / (1.0 - ac);
+                    for k in 1..=12usize {
+                        let k_params = params(k, 1e-300);
+                        let rec = Arc::new(Recorder::new());
+                        let at_k = Engine::new(&g1, &g2, &labels, &k_params, direction)
+                            .run(&RunOptions {
+                                recorder: Some(Arc::clone(&rec)),
+                                ..RunOptions::default()
+                            })
+                            .sim;
+                        // With pruning the run may stop before K once
+                        // every pair is past its horizon; its last
+                        // iteration is then the one that certifies it.
+                        let delta_k = rec
+                            .records()
+                            .iter()
+                            .rev()
+                            .find_map(|r| match r {
+                                Record::Iteration(it) => Some(it.max_delta),
+                                _ => None,
+                            })
+                            .expect("every run iterates at least once");
+                        for (i, j, v) in limit.iter() {
+                            let lo = at_k.get(i, j);
+                            let hi = lo + factor * delta_k;
+                            let what = format!(
+                                "case {case}, α={alpha}, pruning={pruning}, \
+                                 {direction:?}, K={k} at ({i},{j})"
+                            );
+                            assert!(lo <= v + SLACK, "{what}: S^K {lo} > S* {v}");
+                            assert!(v <= hi + SLACK, "{what}: S* {v} > bound {hi}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//@ path: crates/core/src/sim_sparse.rs
+//@ path: crates/depgraph/src/csr.rs
 //! CSR reads with arithmetic indices and no validating constructor or
 //! in-function length guard.
 

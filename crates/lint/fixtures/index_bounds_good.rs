@@ -1,4 +1,4 @@
-//@ path: crates/core/src/sim_sparse.rs
+//@ path: crates/depgraph/src/csr.rs
 //! The same CSR reads, dominated: a validating `from_parts` constructor
 //! covers every self-field index, and the free function guards with an
 //! explicit `len()` comparison.
@@ -8,7 +8,7 @@ pub struct RowTable {
     cols: Vec<u32>,
 }
 
-pub enum CsrError {
+pub enum RowTableError {
     NonMonotone,
     ColumnOutOfRange,
 }
@@ -16,12 +16,12 @@ pub enum CsrError {
 impl RowTable {
     /// Rejects non-monotone offsets and out-of-range columns, so the
     /// arithmetic reads below hold by construction.
-    pub fn from_parts(offs: Vec<u32>, cols: Vec<u32>) -> Result<Self, CsrError> {
+    pub fn from_parts(offs: Vec<u32>, cols: Vec<u32>) -> Result<Self, RowTableError> {
         if offs.windows(2).any(|w| w[1] < w[0]) {
-            return Err(CsrError::NonMonotone);
+            return Err(RowTableError::NonMonotone);
         }
         if cols.iter().any(|&c| c as usize >= offs.len()) {
-            return Err(CsrError::ColumnOutOfRange);
+            return Err(RowTableError::ColumnOutOfRange);
         }
         Ok(RowTable { offs, cols })
     }

@@ -61,9 +61,7 @@ pub const FLOAT_ORDERING_EXEMPT: &[&str] = &["crates/core/src/numeric.rs"];
 /// `float-taint` watched files: the kernel hot paths whose sums feed
 /// Theorem 1's monotone convergence; everywhere else short f64 sums are
 /// reviewed case by case. `engine.rs` covers the PR7 worker pool's shard
-/// delta reduction; `sim_sparse.rs` is watched so any future CSR
-/// accumulation (row sums, occupancy-weighted scores) lands under the
-/// same audit as the dense paths it mirrors. Unlike the lexical
+/// delta reduction. Unlike the lexical
 /// `naive-accumulation` rule this replaces, only accumulations whose
 /// value *escapes* (returns, struct fields, stores through references)
 /// are findings — a sum that merely gates a branch is not exported
@@ -72,7 +70,6 @@ pub const ACCUMULATION_WATCHED: &[&str] = &[
     "crates/core/src/kernel.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/sim.rs",
-    "crates/core/src/sim_sparse.rs",
 ];
 
 /// `lock-discipline` watched files: the PR7 worker pool is the only
@@ -82,14 +79,11 @@ pub const ACCUMULATION_WATCHED: &[&str] = &[
 /// here as they grow pools of their own.
 pub const LOCK_WATCHED: &[&str] = &["crates/core/src/engine.rs"];
 
-/// `index-bounds` watched files: the CSR hot paths, where `a[i]`
+/// `index-bounds` watched files: the CSR hot path, where `a[i]`
 /// arithmetic is pervasive and a single malformed offsets table turns
 /// every row scan into a panic. Reads must be dominated by a validating
 /// `from_parts`-style constructor or an explicit length check.
-pub const INDEX_BOUNDS_WATCHED: &[&str] = &[
-    "crates/core/src/sim_sparse.rs",
-    "crates/depgraph/src/csr.rs",
-];
+pub const INDEX_BOUNDS_WATCHED: &[&str] = &["crates/depgraph/src/csr.rs"];
 
 /// `nondeterminism` watched crates: everything whose output feeds
 /// reported similarity/matching results (including `synth`, whose outputs
@@ -119,8 +113,8 @@ pub const NONDET_CRATES: &[&str] = &[
 /// generation is their purpose); `eval` participates except its dedicated
 /// timer module; `bench`/`cli` are reporting layers (perf_smoke's whole
 /// job is wall-clock timing). `core` participation covers the PR7 worker
-/// pool and sparse kernel: shard scheduling and δ-thresholded drops must
-/// be pure functions of the inputs, never of time or thread races. `obs` participates
+/// pool: shard scheduling must be a pure function of the inputs, never
+/// of time or thread races. `obs` participates
 /// so that its two span-timing clock reads must each carry an explicit
 /// `allow(wall-clock-randomness, ...)` with a reason — timing stays
 /// quarantined in the span `dur_us` field, which every deterministic

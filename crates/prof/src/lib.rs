@@ -332,7 +332,7 @@ mod tests {
             {
                 let mut s = prof.scope("engine.run");
                 s.count("formula_evals", 1234);
-                let inner = prof.scope("sparse_drop");
+                let inner = prof.scope("retire");
                 inner.finish();
             }
             ems_obs::jsonl::write_redacted(&rec.records())

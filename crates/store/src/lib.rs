@@ -40,6 +40,7 @@ use ems_obs::Recorder;
 use std::fs::{self, File};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use format::{SnapshotError, SnapshotHeader, SnapshotKind};
@@ -157,6 +158,9 @@ pub struct CatalogStore {
     recorder: Option<Arc<Recorder>>,
     retry: RetryPolicy,
     stats: Mutex<StoreStats>,
+    /// Per-write temp-file sequence: concurrent puts of one key each
+    /// write their own temp file instead of truncating a shared one.
+    tmp_seq: AtomicU64,
 }
 
 impl CatalogStore {
@@ -189,6 +193,7 @@ impl CatalogStore {
             recorder: None,
             retry: RetryPolicy::default(),
             stats: Mutex::new(StoreStats::default()),
+            tmp_seq: AtomicU64::new(0),
         })
     }
 
@@ -265,8 +270,8 @@ impl CatalogStore {
         payload: &[u8],
     ) -> EmsResult<()> {
         let bytes = format::encode_snapshot(kind, key, payload_version, payload);
-        let outcome = run_with_retry(&self.retry, OpError::is_transient, |attempt| {
-            self.write_once(kind, key, &bytes, attempt)
+        let outcome = run_with_retry(&self.retry, OpError::is_transient, |_| {
+            self.write_once(kind, key, &bytes)
         });
         self.note_retries(outcome.attempts, outcome.backoff_us);
         match outcome.result {
@@ -289,16 +294,18 @@ impl CatalogStore {
     /// One write attempt: temp file → fsync → rename → dir fsync, with
     /// injector hooks at each step. A failed attempt may leave temp
     /// residue (that is the point of torn-write injection); the final
-    /// path is only ever touched by the rename.
-    fn write_once(
-        &self,
-        kind: SnapshotKind,
-        key: u64,
-        bytes: &[u8],
-        attempt: u32,
-    ) -> Result<(), OpError> {
+    /// path is only ever touched by the rename. Every attempt gets its
+    /// own temp name (process id plus a per-store sequence number), so
+    /// racing writers of one key — threads or processes — never share a
+    /// temp file; the last rename wins with a complete image.
+    fn write_once(&self, kind: SnapshotKind, key: u64, bytes: &[u8]) -> Result<(), OpError> {
         let objects = self.objects_dir();
-        let tmp = objects.join(format!(".tmp-{}-{key:016x}-{attempt}", kind.name()));
+        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+        let tmp = objects.join(format!(
+            ".tmp-{}-{key:016x}-{}-{seq}",
+            kind.name(),
+            std::process::id()
+        ));
         let mut file = File::create(&tmp).map_err(OpError::Real)?;
         match self.injector.next_op(FaultSite::StoreWrite) {
             Some(kind @ FaultKind::TornWrite { keep_permille }) => {
@@ -568,7 +575,6 @@ fn io_err(path: &Path, e: &std::io::Error) -> EmsError {
 mod tests {
     use super::*;
     use ems_faults::{FaultPlan, PlannedFault};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_root(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -612,6 +618,48 @@ mod tests {
         assert_eq!(
             store.get(SnapshotKind::Labels, 3, 1).unwrap(),
             Some(b"new".to_vec())
+        );
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_commit_a_valid_entry() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 16;
+        let store = CatalogStore::open(tmp_root("race")).unwrap();
+        let payloads: Vec<Vec<u8>> = (0..THREADS)
+            .map(|t| vec![t as u8; 4096 + 512 * t])
+            .collect();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let (store, payloads, barrier) = (&store, &payloads, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..ROUNDS {
+                        store.put(SnapshotKind::Graph, 9, 1, payload).unwrap();
+                        // Readers racing the writers only ever see a
+                        // complete image of one of them.
+                        let got = store.get(SnapshotKind::Graph, 9, 1).unwrap().unwrap();
+                        assert!(payloads.contains(&got));
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!(stats.writes, (THREADS * ROUNDS) as u64);
+        assert_eq!(stats.write_failures, 0);
+        assert_eq!(stats.quarantined, 0);
+        let got = store.get(SnapshotKind::Graph, 9, 1).unwrap().unwrap();
+        assert!(payloads.contains(&got));
+        assert_eq!(store.verify().unwrap().corrupt, vec![]);
+        let leftovers: Vec<String> = fs::read_dir(store.objects_dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(".tmp-"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
         );
     }
 
